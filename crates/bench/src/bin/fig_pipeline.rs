@@ -29,7 +29,6 @@ use gp_graph::csr::Csr;
 use gp_graph::generators::ba::preferential_attachment;
 use gp_graph::generators::er::erdos_renyi;
 use gp_graph::generators::rmat::{rmat, RmatConfig};
-use gp_graph::stats::DegreeHistogram;
 use gp_metrics::interval::{IntervalRecorder, NoopIntervals, Timeline};
 use gp_metrics::telemetry::NoopRecorder;
 use std::io::BufRead;
@@ -135,16 +134,12 @@ fn main() {
         let recipes = batch_recipes(scale);
 
         // Sequential baseline: the per-item loop every current entrypoint
-        // runs — build, census, kernel, next item.
+        // runs — build, kernel, next item.
         let started = Instant::now();
         let baseline: Vec<KernelOutput> = ctx.install(|| {
             recipes
                 .iter()
-                .map(|r| {
-                    let g = (r.build)();
-                    std::hint::black_box(DegreeHistogram::build(&g).max_degree);
-                    run_kernel(&g, &r.spec, &mut NoopRecorder)
-                })
+                .map(|r| run_kernel(&(r.build)(), &r.spec, &mut NoopRecorder))
                 .collect()
         });
         let seq_secs = started.elapsed().as_secs_f64();
@@ -341,9 +336,7 @@ fn batch_overhead(ctx: &BenchContext, recipes: &[Recipe]) -> Option<f64> {
             let t = Instant::now();
             ctx.install(|| {
                 for r in recipes {
-                    let g = (r.build)();
-                    std::hint::black_box(DegreeHistogram::build(&g).max_degree);
-                    std::hint::black_box(run_kernel(&g, &r.spec, &mut NoopRecorder));
+                    std::hint::black_box(run_kernel(&(r.build)(), &r.spec, &mut NoopRecorder));
                 }
             });
             t.elapsed().as_secs_f64()

@@ -93,7 +93,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     println!("self loops    {}", s.num_self_loops);
     println!("components    {}", s.num_components);
     // The locality layer's inputs: exact low-degree counts (the ≤16-neighbor
-    // batchable population), log2 buckets above, and the derived hub cut.
+    // low bin), log2 buckets above, and the derived hub cut.
     let h = DegreeHistogram::build(&g);
     let low: Vec<String> = h.low.iter().map(|n| n.to_string()).collect();
     println!("deg 0..={}    {}", LOW_DEGREE_SLOTS, low.join(" "));
@@ -102,7 +102,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
             println!("deg 2^{b:<2}      {count}");
         }
     }
-    println!("batchable     {} ({:.1}%)", h.low_total(), {
+    println!("low bin       {} ({:.1}%)", h.low_total(), {
         if s.num_vertices > 0 {
             100.0 * h.low_total() as f64 / s.num_vertices as f64
         } else {
@@ -714,9 +714,7 @@ pub fn batch(args: &[String]) -> Result<(), String> {
         let outs: Vec<KernelOutput> = lines
             .iter()
             .map(|l| {
-                let g = l.graph.build();
-                std::hint::black_box(DegreeHistogram::build(&g).max_degree);
-                run_kernel(&g, &l.spec, &mut NoopRecorder)
+                run_kernel(&l.graph.build(), &l.spec, &mut NoopRecorder)
             })
             .collect();
         Some((outs, t.elapsed().as_secs_f64()))

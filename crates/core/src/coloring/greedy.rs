@@ -8,7 +8,7 @@
 
 use super::{ColoringConfig, ColoringResult};
 use crate::frontier::{slice_chunked, SweepMode};
-use crate::locality::{self, Plan};
+use crate::locality::{self, Plan, LOW_MAX_DEGREE};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{NoopRecorder, Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
 use gp_simd::counters;
@@ -78,11 +78,49 @@ pub(crate) fn assign_one_low(g: &Csr, colors: &[AtomicU32], v: u32) -> u32 {
     (!(forb | 1)).trailing_zeros()
 }
 
-/// Scalar `AssignColors` over a conflict set (Algorithm 2), routed through
-/// the locality bucketer: low-degree runs take the branch-free bitmask
-/// kernel ([`assign_one_low`]), everything else the stamped FORBIDDEN
-/// array. Both compute the exact smallest free color reading live state in
-/// order, so the result is bit-identical to the plain per-vertex loop.
+/// Sweeps one cache block of the conflict set through the locality layer
+/// and stores each vertex's new color. With bucketing on, ≤16-degree
+/// vertices take the branch-free bitmask kernel ([`assign_one_low`]), the
+/// rest take `assign`, the variant's per-vertex kernel over its workspace.
+/// Both compute the exact smallest free color reading live state in order,
+/// so the result is bit-identical to the plain per-vertex loop. The driver
+/// cuts the blocks and polls the deadline between them
+/// ([`locality::slice_blocked`]), so the sweep itself runs unrecorded.
+pub(crate) fn sweep_assign<W: Send>(
+    g: &Csr,
+    colors: &[AtomicU32],
+    conf: &[u32],
+    parallel: bool,
+    plan: &Plan,
+    make_ws: impl Fn() -> W + Send + Sync,
+    assign: impl Fn(&mut W, u32) -> u32 + Send + Sync,
+) {
+    locality::run_sweep(
+        g,
+        plan,
+        conf.len(),
+        parallel,
+        &NoopRecorder,
+        |i| Some(conf[i]),
+        make_ws,
+        |ws, v| {
+            let c = if plan.bucket && g.degree(v) <= LOW_MAX_DEGREE as usize {
+                assign_one_low(g, colors, v)
+            } else {
+                assign(ws, v)
+            };
+            colors[v as usize].store(c, Ordering::Relaxed);
+        },
+        Some(|v: u32| {
+            for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
+                locality::prefetch(&colors[nv as usize] as *const _);
+            }
+        }),
+    );
+}
+
+/// Scalar `AssignColors` over a conflict set (Algorithm 2): the stamped
+/// FORBIDDEN array per vertex, swept by [`sweep_assign`].
 pub fn assign_colors_scalar(
     g: &Csr,
     colors: &[AtomicU32],
@@ -91,27 +129,14 @@ pub fn assign_colors_scalar(
     plan: &Plan,
 ) {
     let max_degree = g.max_degree();
-    locality::for_each_bucketed(
+    sweep_assign(
         g,
-        plan,
+        colors,
         conf,
         config.parallel,
+        plan,
         || Workspace::new(max_degree),
-        |ws, v| {
-            let c = assign_one_scalar(g, colors, v, ws);
-            colors[v as usize].store(c, Ordering::Relaxed);
-        },
-        Some(|_: &mut Workspace, ids: &[u32]| {
-            for &v in ids {
-                let c = assign_one_low(g, colors, v);
-                colors[v as usize].store(c, Ordering::Relaxed);
-            }
-        }),
-        Some(|v: u32| {
-            for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
-                locality::prefetch(&colors[nv as usize] as *const _);
-            }
-        }),
+        |ws, v| assign_one_scalar(g, colors, v, ws),
     );
     if config.count_ops {
         // Per neighbor: load id, load color, store forbidden, loop branch;
@@ -125,9 +150,11 @@ pub fn assign_colors_scalar(
 }
 
 /// `DetectConflicts` (Algorithm 3): returns the vertices that must be
-/// re-colored. For each same-colored edge the *lower* endpoint is re-colored
-/// (the paper's `u < v` rule keeps one endpoint stable so progress is
-/// guaranteed).
+/// re-colored. For each same-colored edge the *higher* endpoint is
+/// re-colored (the paper's `u < v` rule keeps the lower endpoint stable so
+/// progress is guaranteed). Re-queuing the scanned vertex, not the neighbor
+/// it clashes with, is what repairs every edge: a vertex can clash with
+/// several lower neighbors at once.
 pub(crate) fn detect_conflicts(
     g: &Csr,
     colors: &[AtomicU32],
@@ -136,7 +163,10 @@ pub(crate) fn detect_conflicts(
 ) -> Vec<u32> {
     let find = |&v: &u32| -> Option<u32> {
         let cv = colors[v as usize].load(Ordering::Relaxed);
-        g.neighbors(v).iter().find(|&&u| u != v && colors[u as usize].load(Ordering::Relaxed) == cv && u < v).copied()
+        g.neighbors(v)
+            .iter()
+            .any(|&u| u < v && colors[u as usize].load(Ordering::Relaxed) == cv)
+            .then_some(v)
     };
     let mut newconf: Vec<u32> = if config.parallel {
         conf.par_iter().filter_map(find).collect()
@@ -445,6 +475,17 @@ mod tests {
                 "vertex {v}"
             );
         }
+    }
+
+    #[test]
+    fn conflict_detection_requeues_an_endpoint_of_every_clash() {
+        // Vertex 2 clashes with both lower neighbors 0 and 1; re-queuing
+        // just one of them would leave the other edge unrepaired.
+        let g = from_pairs(3, [(0, 2), (1, 2)]);
+        let colors: Vec<AtomicU32> = (0..3).map(|_| AtomicU32::new(1)).collect();
+        let conf: Vec<u32> = (0..3).collect();
+        let flagged = detect_conflicts(&g, &colors, &conf, &ColoringConfig::sequential());
+        assert_eq!(flagged, vec![2]);
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub struct ColoringConfig {
     /// Cache-blocking policy for the assign phase (locality layer).
     /// Bit-identical outputs for every setting.
     pub block: Blocking,
-    /// Degree-bucketing policy: routes ≤16-degree runs of the conflict set
-    /// through the one-vertex-per-lane batch kernel.
+    /// Degree-bucketing policy: ≤16-degree vertices of the conflict set take
+    /// the branch-free `u32`-bitmask kernel, hubs their own parallel
+    /// scheduling units.
     pub bucket: Bucketing,
     /// Warm start: adopt a previous coloring and repair only from a seed
     /// conflict set instead of coloring from scratch. `None` (the default)

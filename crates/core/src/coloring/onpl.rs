@@ -9,13 +9,13 @@
 //! The search for the first free color is also vectorized: compare 16
 //! FORBIDDEN entries against the stamp and take the first unset mask bit.
 
-use super::greedy::{assign_one_low, run_iterative, run_iterative_with_detect};
+use super::greedy::{run_iterative, run_iterative_with_detect, sweep_assign};
 use super::{ColoringConfig, ColoringResult};
-use crate::locality::{self, Plan};
+use crate::locality::Plan;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::Recorder;
 use gp_simd::backend::Simd;
-use gp_simd::vector::{Mask16, LANES};
+use gp_simd::vector::LANES;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Reinterprets a `u32` slice as `i32` (identical layout); vertex ids and
@@ -106,81 +106,8 @@ fn assign_one_onpl<S: Simd>(
     }
 }
 
-/// One-vertex-per-lane `AssignColors` for a run of up to 16 low-degree
-/// (≤16-neighbor) vertices: the transposed layout — slot `j` gathers
-/// neighbor `j` of *every* lane at once, gathers those neighbors' colors,
-/// and builds a per-lane forbidden *bitmask* with a variable shift
-/// (`vpsllvd`) instead of a per-vertex scatter. Colors ≥ 31 clamp to bit
-/// 31, exact because a ≤16-degree vertex's answer is at most 17 (see
-/// [`assign_one_low`]).
-///
-/// All gathers read a pre-batch snapshot; results are then applied
-/// lane-by-lane **in order** with dependency repair — a lane whose vertex
-/// neighbors an earlier lane of the same batch may have read a stale color,
-/// so it is recomputed against live state. Repaired or not, every lane
-/// stores the exact smallest free color the sequential per-vertex kernel
-/// would have produced.
-fn assign_batch_low<S: Simd>(s: &S, g: &Csr, colors: &[AtomicU32], ids: &[u32]) {
-    let view = colors_as_i32(colors);
-    let adj = as_i32(g.adj());
-    let xadj = g.xadj();
-    let lanes = Mask16::first(ids.len());
-
-    let mut vid_a = [0i32; LANES];
-    let mut row_a = [0i32; LANES];
-    let mut deg_a = [0i32; LANES];
-    let mut max_deg = 0usize;
-    for (l, &v) in ids.iter().enumerate() {
-        vid_a[l] = v as i32;
-        row_a[l] = xadj[v as usize] as i32;
-        let d = g.degree(v);
-        deg_a[l] = d as i32;
-        max_deg = max_deg.max(d);
-    }
-    let vids = s.from_array_i32(vid_a);
-    let rows = s.from_array_i32(row_a);
-    let degs = s.from_array_i32(deg_a);
-
-    let mut forb = s.splat_i32(0);
-    for j in 0..max_deg {
-        let idx = s.add_i32(rows, s.splat_i32(j as i32));
-        let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
-        // SAFETY: selected lanes have j < degree, so row + j stays inside
-        // the lane's CSR row.
-        let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
-        let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops never forbid
-        // SAFETY: gathered neighbor ids are < |V| = colors.len().
-        let cols = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(0)) };
-        let clamped = s.blend_i32(s.cmplt_i32(cols, s.splat_i32(31)), s.splat_i32(31), cols);
-        let bits = s.sllv_i32(s.splat_i32(1), clamped);
-        forb = s.or_i32(forb, s.blend_i32(mm, s.splat_i32(0), bits));
-    }
-    let forb = s.to_array_i32(forb);
-
-    // Cheap membership filter for the staleness scan: a neighbor can only
-    // be an earlier lane if its hash bit is set, so the exact (and rare)
-    // `contains` walk runs only on filter hits instead of per neighbor.
-    let mut bloom = 0u64;
-    for &v in ids {
-        bloom |= 1 << (v & 63);
-    }
-    for (l, &v) in ids.iter().enumerate() {
-        let stale = l > 0
-            && g.neighbors(v)
-                .iter()
-                .any(|u| bloom & (1 << (u & 63)) != 0 && ids[..l].contains(u));
-        let c = if stale {
-            assign_one_low(g, colors, v)
-        } else {
-            (!(forb[l] as u32 | 1)).trailing_zeros()
-        };
-        colors[v as usize].store(c, Ordering::Relaxed);
-    }
-}
-
-/// ONPL `AssignColors` over a conflict set, routed through the locality
-/// bucketer: low-degree runs take [`assign_batch_low`], everything else the
-/// per-vertex scatter kernel.
+/// ONPL `AssignColors` over a conflict set: the per-vertex scatter kernel,
+/// swept by [`sweep_assign`].
 pub fn assign_colors_onpl<S: Simd + Sync>(
     s: &S,
     g: &Csr,
@@ -190,34 +117,14 @@ pub fn assign_colors_onpl<S: Simd + Sync>(
     plan: &Plan,
 ) {
     let max_degree = g.max_degree();
-    locality::for_each_bucketed(
+    sweep_assign(
         g,
-        plan,
+        colors,
         conf,
         config.parallel,
+        plan,
         || VecWorkspace::new(max_degree),
-        |ws, v| {
-            let c = assign_one_onpl(s, g, colors, v, ws);
-            colors[v as usize].store(c, Ordering::Relaxed);
-        },
-        Some(|_: &mut VecWorkspace, ids: &[u32]| {
-            // The transposed batch loses to the bitmask kernel on every
-            // measured host (gathers vs. a sequential row stream), so it
-            // stays an opt-in A/B arm.
-            if plan.batch16 {
-                assign_batch_low(s, g, colors, ids);
-            } else {
-                for &v in ids {
-                    let c = assign_one_low(g, colors, v);
-                    colors[v as usize].store(c, Ordering::Relaxed);
-                }
-            }
-        }),
-        Some(|v: u32| {
-            for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
-                locality::prefetch(&colors[nv as usize] as *const _);
-            }
-        }),
+        |ws, v| assign_one_onpl(s, g, colors, v, ws),
     );
 }
 

@@ -59,8 +59,10 @@ pub struct LabelPropConfig {
     /// Cache-blocking policy for the sweeps (locality layer).
     /// Bit-identical outputs for every setting.
     pub block: Blocking,
-    /// Degree-bucketing policy: routes runs of ≤16-degree vertices through
-    /// the one-vertex-per-lane batch kernel (ONLP only; MPLP stays scalar).
+    /// Degree-bucketing policy: hub vertices become their own parallel
+    /// scheduling units. Every vertex, low-degree ones included, takes the
+    /// variant's per-vertex kernel, so bucketing affects only hub
+    /// scheduling and telemetry.
     pub bucket: Bucketing,
     /// Warm start: adopt previous labels and re-converge from a seeded
     /// frontier. `None` (the default) is the ordinary full run.
@@ -132,19 +134,15 @@ pub(crate) fn order_vertices(vertices: &mut [u32], seed: u64, iteration: usize) 
 /// subsequence of the full shuffled order), hence bit-identical labels.
 ///
 /// Sweeps execute through the locality layer ([`crate::locality`]): the
-/// ordered traversal is cut into cache blocks, and — when `propose16` is
-/// provided and bucketing is on — runs of consecutive ≤16-degree vertices
-/// are proposed 16-at-a-time one-vertex-per-lane, then applied lane-by-lane
-/// in order with exact dependency repair (a lane whose neighbor changed
-/// earlier in the batch recomputes via `best` against live state), so
-/// sequential labels stay bit-identical to the unbatched sweep.
+/// ordered traversal is cut into cache blocks and every eligible vertex
+/// runs `best` against live state in order, so sequential labels are
+/// bit-identical to the unblocked sweep.
 pub(crate) fn run_lp_sweeps<R: Recorder>(
     g: &Csr,
     config: &LabelPropConfig,
     rec: &mut R,
     backend: &'static str,
     best: impl Fn(&Csr, &[AtomicU32], u32, &mut AffinityBuf) -> Option<u32> + Sync,
-    propose16: Option<impl Fn(&Csr, &[AtomicU32], &[u32], &mut [u32; 16]) -> u16 + Sync>,
 ) -> LabelPropResult {
     let timer = RunTimer::start();
     let n = g.num_vertices();
@@ -186,26 +184,25 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
         let probe = RoundProbe::begin::<R>();
         let updated = AtomicU64::new(0);
         let bins = if R::ENABLED {
-            let fr = &frontier;
-            let order = &order;
             locality::tally(
                 &plan,
                 order.len(),
-                |i| fr.is_active(order[i]).then_some(order[i]),
+                |i| frontier.is_active(order[i]).then_some(order[i]),
                 |v| g.degree(v) as u64,
             )
         } else {
             Default::default()
         };
-        {
-            let fr = &frontier;
-            let order = &order;
-            let labels = &labels;
-            let updated = &updated;
-            let best = &best;
-            // Per-vertex path: compute and apply against live state.
-            let apply_one_ref = |buf: &mut AffinityBuf, u: u32| {
-                let Some(best_l) = best(g, labels, u, buf) else {
+        bailed = locality::run_sweep(
+            g,
+            &plan,
+            order.len(),
+            config.parallel,
+            rec,
+            |i| frontier.is_active(order[i]).then_some(order[i]),
+            || AffinityBuf::new(n),
+            |buf: &mut AffinityBuf, u: u32| {
+                let Some(best_l) = best(g, &labels, u, buf) else {
                     return;
                 };
                 let current = labels[u as usize].load(Ordering::Relaxed);
@@ -213,84 +210,16 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
                     labels[u as usize].store(best_l, Ordering::Relaxed);
                     updated.fetch_add(1, Ordering::Relaxed);
                     for &v in g.neighbors(u) {
-                        fr.activate(v);
+                        frontier.activate(v);
                     }
                 }
-            };
-            // Low-degree batch: propose all lanes from a pre-batch
-            // snapshot, then apply in lane order. A lane is stale iff one
-            // of its neighbors is an earlier lane of this batch whose
-            // label actually changed — only then does the lane recompute
-            // against live state, so the applied sequence is exactly what
-            // per-vertex execution would have produced.
-            let batch16 = plan.batch16;
-            let apply_batch = propose16.as_ref().map(|propose| {
-                move |buf: &mut AffinityBuf, ids: &[u32]| {
-                    // The transposed 16-per-ZMM proposal loses to the
-                    // per-vertex vector kernel on every measured host (the
-                    // gathers and the O(max_deg^2) scoring outweigh the lane
-                    // packing), so it stays an opt-in A/B arm.
-                    if !batch16 {
-                        for &u in ids {
-                            apply_one_ref(buf, u);
-                        }
-                        return;
-                    }
-                    let mut proposals = [0u32; 16];
-                    let valid = propose(g, labels, ids, &mut proposals);
-                    let mut changed = [0u32; 16];
-                    let mut nchanged = 0usize;
-                    // Membership filter for the staleness scan: a neighbor
-                    // can only be an earlier changed lane if its hash bit is
-                    // set, so the exact `contains` walk runs only on hits.
-                    let mut bloom = 0u64;
-                    for (lane, &u) in ids.iter().enumerate() {
-                        let stale = nchanged > 0
-                            && g.neighbors(u).iter().any(|v| {
-                                bloom & (1 << (v & 63)) != 0
-                                    && changed[..nchanged].contains(v)
-                            });
-                        let best_l = if stale {
-                            match best(g, labels, u, buf) {
-                                Some(b) => b,
-                                None => continue,
-                            }
-                        } else if valid & (1 << lane) != 0 {
-                            proposals[lane]
-                        } else {
-                            continue;
-                        };
-                        let current = labels[u as usize].load(Ordering::Relaxed);
-                        if best_l != current {
-                            labels[u as usize].store(best_l, Ordering::Relaxed);
-                            updated.fetch_add(1, Ordering::Relaxed);
-                            for &v in g.neighbors(u) {
-                                fr.activate(v);
-                            }
-                            changed[nchanged] = u;
-                            nchanged += 1;
-                            bloom |= 1 << (u & 63);
-                        }
-                    }
+            },
+            Some(|v: u32| {
+                for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
+                    locality::prefetch(&labels[nv as usize] as *const _);
                 }
-            });
-            bailed = locality::run_sweep(
-                g,
-                &plan,
-                order.len(),
-                config.parallel,
-                rec,
-                |i| fr.is_active(order[i]).then_some(order[i]),
-                || AffinityBuf::new(n),
-                |buf: &mut AffinityBuf, u: u32| apply_one_ref(buf, u),
-                apply_batch,
-                Some(|v: u32| {
-                    for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
-                        locality::prefetch(&labels[nv as usize] as *const _);
-                    }
-                }),
-            );
-        }
+            }),
+        );
         if config.count_ops {
             // Per visited arc: adj + weight stream loads, random label and
             // label-weight loads, store, branch; selection: one random load

@@ -70,16 +70,7 @@ pub(crate) fn label_propagation_mplp_recorded<R: Recorder>(
     config: &LabelPropConfig,
     rec: &mut R,
 ) -> LabelPropResult {
-    // MPLP has no vector batch kernel — the scalar per-vertex path already
-    // reads live state in order, so bucketing routes everything through it.
-    run_lp_sweeps(
-        g,
-        config,
-        rec,
-        "scalar",
-        best_label_scalar,
-        None::<fn(&Csr, &[AtomicU32], &[u32], &mut [u32; 16]) -> u16>,
-    )
+    run_lp_sweeps(g, config, rec, "scalar", best_label_scalar)
 }
 
 #[cfg(test)]

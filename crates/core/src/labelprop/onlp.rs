@@ -17,7 +17,7 @@ use gp_metrics::telemetry::Recorder;
 #[cfg(test)]
 use gp_metrics::telemetry::NoopRecorder;
 use gp_simd::backend::Simd;
-use gp_simd::vector::{Mask16, LANES};
+use gp_simd::vector::LANES;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Views the atomic label array as gatherable `i32`s (the same benign-race
@@ -86,103 +86,6 @@ fn best_label_onlp<S: Simd>(
     Some(best)
 }
 
-/// Batched heaviest-label proposal for up to 16 vertices of degree ≤ 16,
-/// one vertex per lane (the locality layer's low-degree bin). Returns a
-/// bit mask of valid lanes (lanes whose vertex has a non-self-loop
-/// neighbor — the exact `None` condition of [`best_label_onlp`]).
-///
-/// The layout is transposed relative to [`best_label_onlp`]: slot `j`
-/// holds neighbor `j` of *each* lane's vertex, gathered through the lane's
-/// CSR row start. Proposals are computed from the label state at call time
-/// (the pre-batch snapshot); the caller applies them in lane order with
-/// dependency repair (see `run_lp_sweeps`).
-///
-/// Bit-exactness with the per-vertex kernel: per lane, the affinity of a
-/// label is folded in ascending neighbor order starting from `0.0` — the
-/// same f32 sequence `accumulate` + its scalar duplicate remainder
-/// produces for a single ≤16-neighbor chunk — and the best-label scan
-/// keeps the earliest slot on ties, matching the per-vertex max-scan's
-/// first-touched-lane rule; the stay rule `best_w <= aff[current]` is the
-/// blend below.
-fn propose16_onlp<S: Simd>(
-    s: &S,
-    g: &Csr,
-    labels: &[AtomicU32],
-    ids: &[u32],
-    out: &mut [u32; 16],
-) -> u16 {
-    let view = labels_view(labels);
-    let adj = as_i32(g.adj());
-    let wgt = g.weights();
-    let xadj = g.xadj();
-    let lanes = Mask16::first(ids.len());
-
-    let mut vid_a = [0i32; LANES];
-    let mut row_a = [0i32; LANES];
-    let mut deg_a = [0i32; LANES];
-    let mut max_deg = 0usize;
-    for (l, &v) in ids.iter().enumerate() {
-        vid_a[l] = v as i32;
-        row_a[l] = xadj[v as usize] as i32;
-        let d = g.degree(v);
-        deg_a[l] = d as i32;
-        max_deg = max_deg.max(d);
-    }
-    let vids = s.from_array_i32(vid_a);
-    let rows = s.from_array_i32(row_a);
-    let degs = s.from_array_i32(deg_a);
-
-    // Transposed neighborhood snapshot: slot j = neighbor j of every lane.
-    let mut labs = [s.splat_i32(-1); LANES];
-    let mut wts = [s.splat_f32(0.0); LANES];
-    let mut ms = [Mask16::NONE; LANES];
-    let mut valid = Mask16::NONE;
-    for j in 0..max_deg {
-        let idx = s.add_i32(rows, s.splat_i32(j as i32));
-        let m = s.cmplt_i32(s.splat_i32(j as i32), degs).and(lanes);
-        // SAFETY: selected lanes have j < degree, so row + j indexes the
-        // lane's CSR row (and the weight array, which is adj-aligned).
-        let nbr = unsafe { s.gather_i32(adj, idx, m, s.splat_i32(0)) };
-        let mm = m.and(s.cmpneq_i32(nbr, vids)); // self-loops contribute nothing
-        // SAFETY: gathered neighbor ids are < |V| by the CSR invariant.
-        labs[j] = unsafe { s.gather_i32(view, nbr, mm, s.splat_i32(-1)) };
-        wts[j] = unsafe { s.gather_f32(wgt, idx, mm, s.splat_f32(0.0)) };
-        ms[j] = mm;
-        valid = valid.or(mm);
-    }
-
-    // SAFETY: the batch's own vertex ids are < |V|.
-    let labcur = unsafe { s.gather_i32(view, vids, lanes, s.splat_i32(0)) };
-    // aff[current]: fold matching weights in ascending neighbor order.
-    let mut curw = s.splat_f32(0.0);
-    for j2 in 0..max_deg {
-        let same = s.cmpeq_i32(labs[j2], labcur).and(ms[j2]);
-        curw = s.mask_add_f32(curw, same, curw, wts[j2]);
-    }
-    // Best-label scan: slot j1's label scores the same ascending fold;
-    // strictly-greater keeps the earliest max slot, duplicates of a label
-    // recompute the identical sum and never displace it.
-    let mut bestw = s.splat_f32(0.0);
-    let mut bestl = labcur;
-    for j1 in 0..max_deg {
-        let mut wsum = s.splat_f32(0.0);
-        for j2 in 0..max_deg {
-            let same = s.cmpeq_i32(labs[j2], labs[j1]).and(ms[j2]);
-            wsum = s.mask_add_f32(wsum, same, wsum, wts[j2]);
-        }
-        let better = s.cmpgt_f32(wsum, bestw).and(ms[j1]);
-        bestw = s.blend_f32(better, bestw, wsum);
-        bestl = s.blend_i32(better, bestl, labs[j1]);
-    }
-    // Stay rule: keep the current label unless the best strictly beats it.
-    let change = s.cmpgt_f32(bestw, curw);
-    let proposed = s.to_array_i32(s.blend_i32(change, labcur, bestl));
-    for (l, slot) in out.iter_mut().enumerate().take(ids.len()) {
-        *slot = proposed[l] as u32;
-    }
-    valid.0
-}
-
 /// Runs ONLP label propagation. Test-only convenience: external callers
 /// reach this as `run_kernel` with a pinned vector backend.
 #[cfg(test)]
@@ -210,16 +113,9 @@ pub(crate) fn label_propagation_onlp_recorded<S: Simd + Sync, R: Recorder>(
     config: &LabelPropConfig,
     rec: &mut R,
 ) -> LabelPropResult {
-    run_lp_sweeps(
-        g,
-        config,
-        rec,
-        S::NAME,
-        |g, labels, u, buf| best_label_onlp(s, g, labels, u, buf),
-        Some(|g: &Csr, labels: &[AtomicU32], ids: &[u32], out: &mut [u32; 16]| {
-            propose16_onlp(s, g, labels, ids, out)
-        }),
-    )
+    run_lp_sweeps(g, config, rec, S::NAME, |g, labels, u, buf| {
+        best_label_onlp(s, g, labels, u, buf)
+    })
 }
 
 #[cfg(test)]

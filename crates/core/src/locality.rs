@@ -8,25 +8,20 @@
 //!
 //! * **Cache blocking** ([`Blocking`]) — each sweep's ordered worklist is
 //!   partitioned into contiguous *blocks* of vertices sized to a cache
-//!   budget (`GP_BLOCK_KB`, or auto-derived from the CSR's bytes-per-vertex)
-//!   and processed block-by-block. Blocks partition the *already ordered*
-//!   sweep sequence, so sequential execution visits exactly the same
-//!   vertices in exactly the same order as the unblocked sweep — outputs
-//!   are bit-identical by construction, for any block size (including the
-//!   degenerate one-vertex block).
-//! * **Degree bucketing** ([`Bucketing`]) — within each block, vertices are
-//!   routed to the kernel shape their degree fits: runs of ≤16-neighbor
-//!   vertices take the kernel's cheap low-degree path (coloring's
-//!   branch-free bitmask; labelprop's per-vertex vector kernel), mid-degree
-//!   vertices the existing one-neighbor-per-lane path, and hub vertices
-//!   become their own scheduling units so a parallel worker never inherits
-//!   a hub buried in a thousand-vertex chunk. `GP_BATCH16=1` swaps the low
-//!   bin onto the transposed one-vertex-per-lane batch kernels (16 per ZMM,
-//!   the OVPL layout without its preprocessing cost) — kept as an opt-in
-//!   A/B arm because the gathers and per-batch scoring lose to the
-//!   per-vertex kernels on every measured host. The low/hub boundaries come
-//!   from the degree histogram ([`gp_graph::stats::DegreeHistogram`]) at
-//!   frontier-build time.
+//!   budget ([`DEFAULT_BLOCK_KB`] under `auto`, or an explicit `<n>kb`,
+//!   converted through the CSR's bytes-per-vertex) and processed
+//!   block-by-block. Blocks partition the *already ordered* sweep sequence,
+//!   so sequential execution visits exactly the same vertices in exactly
+//!   the same order as the unblocked sweep — outputs are bit-identical by
+//!   construction, for any block size (including the degenerate one-vertex
+//!   block).
+//! * **Degree bucketing** ([`Bucketing`]) — hub vertices become their own
+//!   scheduling units so a parallel worker never inherits a hub buried in a
+//!   thousand-vertex chunk, and a kernel may give ≤16-neighbor vertices a
+//!   cheaper per-vertex shape (coloring's branch-free bitmask). Every
+//!   vertex still takes exactly one per-vertex call, in sweep order. The
+//!   hub boundary comes from the degree histogram
+//!   ([`gp_graph::stats::DegreeHistogram`]) at frontier-build time.
 //!
 //! An engaged plan additionally drives a two-stage software-prefetch
 //! pipeline ahead of the in-order visit point (CSR row at
@@ -43,16 +38,9 @@
 //! the output level (`crates/core/tests/locality.rs` pins this across every
 //! kernel × backend × thread count × block size):
 //!
-//! * Sequential (and inline-pool) execution streams blocks in order; the
-//!   low-degree batcher only ever groups *consecutive* eligible vertices
-//!   and flushes before any non-low vertex, so the visit sequence is
-//!   untouched.
-//! * Batched kernels compute all 16 lanes from a pre-batch snapshot, then
-//!   apply results lane-by-lane **in order** with exact dependency repair:
-//!   before applying lane `l`, if any neighbor of `v_l` is an earlier lane
-//!   of this batch whose value actually changed, lane `l` is recomputed
-//!   with the per-vertex kernel against current state. Both checks are
-//!   O(16·16) worst case and almost always empty.
+//! * Sequential (and inline-pool) execution streams blocks in order and
+//!   hands each eligible vertex to the kernel's per-vertex path against
+//!   live state, so the visit sequence is untouched.
 //! * Parallel execution on a real pool fans *units* (block-bounded ranges
 //!   plus hub singletons) across workers — reordering that the racy
 //!   speculative contract already permits (see `docs/PARALLELISM.md`), and
@@ -66,8 +54,10 @@ use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Highest degree routed to the one-vertex-per-lane batch kernels: one
-/// neighbor slot per lane of a 16-lane register.
+/// Highest degree of the low bin: a bucketed kernel may give these vertices
+/// a cheaper per-vertex shape (coloring's `u32` bitmask — at most 16
+/// forbidden colors leave an answer ≤ 17). Also the low/mid boundary of the
+/// telemetry census ([`BinTally`]).
 pub const LOW_MAX_DEGREE: u32 = 16;
 
 /// Far lookahead of the software-prefetch pipeline (worklist positions):
@@ -113,8 +103,8 @@ fn prefetch_row(g: &Csr, v: u32) {
     prefetch(unsafe { g.weights().as_ptr().add(start) });
 }
 
-/// Default cache budget per block when `GP_BLOCK_KB` is unset: sized to a
-/// typical per-core LLC slice so one block's working set (CSR rows + state
+/// Cache budget per block under [`Blocking::Auto`]: sized to a typical
+/// per-core LLC slice so one block's working set (CSR rows + state
 /// arrays) stays resident while the block is swept.
 pub const DEFAULT_BLOCK_KB: u32 = 4096;
 
@@ -125,8 +115,8 @@ pub enum Blocking {
     /// No blocking: one block spans the whole sweep (the pre-locality
     /// behavior, kept as the A/B baseline).
     Off,
-    /// Derive the block size from the graph: `GP_BLOCK_KB` (default
-    /// [`DEFAULT_BLOCK_KB`]) divided by the CSR's average bytes-per-vertex.
+    /// Derive the block size from the graph: [`DEFAULT_BLOCK_KB`] divided by
+    /// the CSR's average bytes-per-vertex.
     #[default]
     Auto,
     /// Explicit cache budget in KiB, converted like `Auto`.
@@ -187,8 +177,9 @@ impl FromStr for Blocking {
 pub enum Bucketing {
     /// Every vertex takes the kernel's uniform per-vertex path.
     Off,
-    /// Route by degree: ≤16-neighbor runs to the 16-per-ZMM batch kernel,
-    /// hubs to singleton scheduling units, the rest to the per-vertex path.
+    /// Route by degree: hubs to singleton scheduling units, ≤16-neighbor
+    /// vertices to the kernel's low-degree per-vertex shape where it has one
+    /// (coloring's bitmask), everything else to the uniform per-vertex path.
     #[default]
     Degree,
 }
@@ -221,15 +212,6 @@ impl FromStr for Bucketing {
     }
 }
 
-/// Reads the `GP_BLOCK_KB` cache-budget override.
-fn block_kb_from_env() -> u32 {
-    std::env::var("GP_BLOCK_KB")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(DEFAULT_BLOCK_KB)
-}
-
 /// Converts a cache budget to a block length in vertices using the CSR's
 /// average footprint: ~16 bytes of row/state overhead per vertex plus 8
 /// bytes (id + weight) per arc.
@@ -252,12 +234,6 @@ pub struct Plan {
     /// Degree at or above which a vertex is scheduled as its own parallel
     /// unit; `u32::MAX` means the graph has no hubs worth singling out.
     pub hub_min: u32,
-    /// Route low-degree runs to the transposed 16-per-ZMM batch kernels
-    /// (`GP_BATCH16=1`). Off by default: on every host measured so far the
-    /// transposed batch loses to the per-vertex kernels it replaces (see
-    /// `docs/PERFORMANCE.md`), so the default low-bin route is the cheap
-    /// per-vertex path and the batch stays as an A/B knob.
-    pub batch16: bool,
     /// Run the two-stage software-prefetch pipeline ahead of the in-order
     /// stream. On when the plan is engaged *and* the graph's estimated
     /// footprint exceeds [`PREFETCH_MIN_BYTES`] (or `GP_PREFETCH=1` forces
@@ -273,7 +249,6 @@ impl Plan {
             block_vertices: usize::MAX,
             bucket: false,
             hub_min: u32::MAX,
-            batch16: false,
             prefetch: false,
         }
     }
@@ -285,7 +260,7 @@ impl Plan {
     pub fn for_graph(g: &Csr, block: Blocking, bucket: Bucketing) -> Plan {
         let block_vertices = match block {
             Blocking::Off => usize::MAX,
-            Blocking::Auto => budget_to_vertices(g, block_kb_from_env()),
+            Blocking::Auto => budget_to_vertices(g, DEFAULT_BLOCK_KB),
             Blocking::Kb(k) => budget_to_vertices(g, k),
             Blocking::Vertices(v) => (v as usize).max(1),
         };
@@ -307,8 +282,6 @@ impl Plan {
             block_vertices,
             bucket: bucket_on,
             hub_min,
-            batch16: bucket_on
-                && std::env::var("GP_BATCH16").is_ok_and(|v| v.trim() == "1"),
             prefetch,
         }
     }
@@ -378,10 +351,8 @@ fn sweep_grain<R: Recorder>(plan: &Plan, len: usize) -> usize {
     plan.block_vertices.min(cap).max(1)
 }
 
-/// Streams `range` in ascending position order through the bucketer: runs
-/// of consecutive eligible low-degree vertices are collected (up to 16) and
-/// flushed to `batch` before any non-low vertex is processed, so the visit
-/// sequence equals the plain in-order sweep exactly.
+/// Streams `range` in ascending position order, handing every eligible
+/// vertex to `one` — exactly the plain in-order sweep.
 ///
 /// When `plan.prefetch` is set (engaged plan, working set past the LLC
 /// gate), a two-stage software-prefetch pipeline runs ahead of the visit
@@ -392,7 +363,6 @@ fn sweep_grain<R: Recorder>(plan: &Plan, len: usize) -> usize {
 /// gather. Prefetching has no memory effects, so outputs are untouched;
 /// `Plan::none()` never prefetches, keeping the unblocked baseline
 /// byte-for-byte the pre-locality execution.
-#[allow(clippy::too_many_arguments)]
 fn stream_range<B>(
     g: &Csr,
     plan: &Plan,
@@ -400,61 +370,27 @@ fn stream_range<B>(
     resolve: &(impl Fn(usize) -> Option<u32> + ?Sized),
     buf: &mut B,
     one: &(impl Fn(&mut B, u32) + ?Sized),
-    batch: Option<&(impl Fn(&mut B, &[u32]) + ?Sized)>,
     warm: Option<&(impl Fn(u32) + ?Sized)>,
 ) {
     let pipeline = plan.prefetch;
     let end = range.end;
-    let lookahead = |i: usize| {
-        if !pipeline {
-            return;
-        }
-        if i + PREFETCH_ROW_AHEAD < end {
-            if let Some(w) = resolve(i + PREFETCH_ROW_AHEAD) {
-                prefetch_row(g, w);
-            }
-        }
-        if let Some(warm) = warm {
-            if i + PREFETCH_STATE_AHEAD < end {
-                if let Some(w) = resolve(i + PREFETCH_STATE_AHEAD) {
-                    warm(w);
+    for i in range {
+        if pipeline {
+            if i + PREFETCH_ROW_AHEAD < end {
+                if let Some(w) = resolve(i + PREFETCH_ROW_AHEAD) {
+                    prefetch_row(g, w);
                 }
             }
-        }
-    };
-    match batch {
-        Some(batch16) if plan.bucket => {
-            let mut low = [0u32; LOW_MAX_DEGREE as usize];
-            let mut nlow = 0usize;
-            for i in range {
-                lookahead(i);
-                let Some(v) = resolve(i) else { continue };
-                if g.degree(v) <= LOW_MAX_DEGREE as usize {
-                    low[nlow] = v;
-                    nlow += 1;
-                    if nlow == low.len() {
-                        batch16(buf, &low);
-                        nlow = 0;
+            if let Some(warm) = warm {
+                if i + PREFETCH_STATE_AHEAD < end {
+                    if let Some(w) = resolve(i + PREFETCH_STATE_AHEAD) {
+                        warm(w);
                     }
-                } else {
-                    if nlow > 0 {
-                        batch16(buf, &low[..nlow]);
-                        nlow = 0;
-                    }
-                    one(buf, v);
                 }
-            }
-            if nlow > 0 {
-                batch16(buf, &low[..nlow]);
             }
         }
-        _ => {
-            for i in range {
-                lookahead(i);
-                if let Some(v) = resolve(i) {
-                    one(buf, v);
-                }
-            }
+        if let Some(v) = resolve(i) {
+            one(buf, v);
         }
     }
 }
@@ -515,9 +451,8 @@ fn par_grain(grain: usize, len: usize, threads: usize) -> usize {
 /// * `resolve(i)` maps position `i` to its eligible vertex (`None` = skip
 ///   in place — the `full`-sweep filter);
 /// * `one(buf, v)` is the kernel's per-vertex path;
-/// * `batch(buf, ids)` (optional) processes a run of ≤16 consecutive
-///   eligible low-degree vertices *exactly as if* `one` had been applied to
-///   each in order (the kernel owns that equivalence; see the module docs).
+/// * `warm(v)` (optional) prefetches `v`'s per-neighbor state ahead of the
+///   visit point when the plan prefetches.
 ///
 /// Returns `true` if a deadline bailed the sweep early. Execution shapes
 /// mirror `run_chunked`: sequential and inline pools stream blocks in order
@@ -533,7 +468,6 @@ pub(crate) fn run_sweep<R, B>(
     resolve: impl Fn(usize) -> Option<u32> + Send + Sync,
     make_buf: impl Fn() -> B + Send + Sync,
     one: impl Fn(&mut B, u32) + Send + Sync,
-    batch: Option<impl Fn(&mut B, &[u32]) + Send + Sync>,
     warm: Option<impl Fn(u32) + Send + Sync>,
 ) -> bool
 where
@@ -555,16 +489,7 @@ where
                 &resolve,
             );
             return fan_out_units(&units, &pool, rec, &make_buf, |buf, unit| {
-                stream_range(
-                    g,
-                    plan,
-                    unit.clone(),
-                    &resolve,
-                    buf,
-                    &one,
-                    batch.as_ref(),
-                    warm.as_ref(),
-                )
+                stream_range(g, plan, unit.clone(), &resolve, buf, &one, warm.as_ref())
             });
         }
     }
@@ -576,16 +501,7 @@ where
         }
         let end = (start + grain).min(len);
         let b = buf.get_or_insert_with(&make_buf);
-        stream_range(
-            g,
-            plan,
-            start..end,
-            &resolve,
-            b,
-            &one,
-            batch.as_ref(),
-            warm.as_ref(),
-        );
+        stream_range(g, plan, start..end, &resolve, b, &one, warm.as_ref());
         start = end;
     }
     false
@@ -648,62 +564,6 @@ where
     stop.load(Ordering::Relaxed)
 }
 
-/// Bucketed iteration over a packed vertex slice — the coloring-shaped
-/// entry: `ids` is one cache block of the conflict set (the driver cuts
-/// blocks; see [`slice_blocked`]), and this fans/streams it through the
-/// bucketer. Deadline polling stays with the driver, matching the coloring
-/// pipeline's `FnMut` slice contract.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn for_each_bucketed<B: Send>(
-    g: &Csr,
-    plan: &Plan,
-    ids: &[u32],
-    parallel: bool,
-    make_buf: impl Fn() -> B + Send + Sync,
-    one: impl Fn(&mut B, u32) + Send + Sync,
-    batch: Option<impl Fn(&mut B, &[u32]) + Send + Sync>,
-    warm: Option<impl Fn(u32) + Send + Sync>,
-) {
-    let resolve = |i: usize| Some(ids[i]);
-    if parallel {
-        let pool = gp_par::current();
-        if !pool.is_inline() {
-            let grain = par_grain(ids.len().max(1), ids.len(), pool.threads());
-            let units = build_units(g, plan, ids.len(), grain, &resolve);
-            fan_out_units(
-                &units,
-                &pool,
-                &gp_metrics::telemetry::NoopRecorder,
-                &make_buf,
-                |buf, unit| {
-                    stream_range(
-                        g,
-                        plan,
-                        unit.clone(),
-                        &resolve,
-                        buf,
-                        &one,
-                        batch.as_ref(),
-                        warm.as_ref(),
-                    )
-                },
-            );
-            return;
-        }
-    }
-    let mut buf = make_buf();
-    stream_range(
-        g,
-        plan,
-        0..ids.len(),
-        &resolve,
-        &mut buf,
-        &one,
-        batch.as_ref(),
-        warm.as_ref(),
-    );
-}
-
 /// Block-bounded [`crate::frontier::slice_chunked`]: cuts `items` at block
 /// boundaries (and at [`DEADLINE_CHUNK`] under a deadline-checking
 /// recorder) and hands each block to `f` in order, polling the deadline
@@ -735,7 +595,6 @@ pub(crate) fn slice_blocked<R: Recorder, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_graph::builder::from_pairs;
     use gp_graph::generators::{erdos_renyi, star};
     use gp_metrics::telemetry::NoopRecorder;
     use std::sync::atomic::AtomicU64;
@@ -780,6 +639,12 @@ mod tests {
     #[test]
     fn plan_auto_derives_block_from_budget() {
         let g = erdos_renyi(1000, 4000, 2);
+        for b in [Bucketing::Off, Bucketing::Degree] {
+            assert_eq!(
+                Plan::for_graph(&g, Blocking::Auto, b),
+                Plan::for_graph(&g, Blocking::Kb(DEFAULT_BLOCK_KB), b)
+            );
+        }
         let p = Plan::for_graph(&g, Blocking::Kb(64), Bucketing::Degree);
         // avg arcs/vertex = 8 → 16 + 64 bytes/vertex → 64 KiB / 80 B = 819.
         assert_eq!(p.block_vertices, 64 * 1024 / 80);
@@ -797,7 +662,6 @@ mod tests {
             block_vertices: 10,
             bucket: true,
             hub_min: 32,
-            batch16: true,
             prefetch: true,
         };
         let t = tally(&plan, 41, |i| Some(i as u32), |v| g.degree(v) as u64);
@@ -808,39 +672,29 @@ mod tests {
     }
 
     #[test]
-    fn stream_preserves_order_and_batches_consecutive_low_runs() {
+    fn stream_preserves_order_around_a_hub() {
         // Degrees: vertex 0 is a hub (deg 19 > 16), the rest are leaves.
         let g = star(20);
         let plan = Plan {
             block_vertices: usize::MAX,
             bucket: true,
             hub_min: u32::MAX,
-            batch16: true,
             prefetch: true,
         };
-        let mut events: Vec<String> = Vec::new();
         let order = [1u32, 2, 0, 3, 4, 5];
-        {
-            let ev = std::cell::RefCell::new(&mut events);
-            stream_range(
-                &g,
-                &plan,
-                0..order.len(),
-                &|i| Some(order[i]),
-                &mut (),
-                &|_: &mut (), v| ev.borrow_mut().push(format!("one:{v}")),
-                Some(&|_: &mut (), ids: &[u32]| {
-                    ev.borrow_mut().push(format!("batch:{ids:?}"))
-                }),
-                None::<&fn(u32)>,
-            );
-        }
-        // The low run before the hub flushes first, then the hub, then the
-        // trailing run — sequence order intact.
-        assert_eq!(
-            events,
-            vec!["batch:[1, 2]", "one:0", "batch:[3, 4, 5]"]
+        let seen = std::cell::RefCell::new(Vec::new());
+        stream_range(
+            &g,
+            &plan,
+            0..order.len(),
+            &|i| Some(order[i]),
+            &mut (),
+            &|_: &mut (), v| seen.borrow_mut().push(v),
+            None::<&fn(u32)>,
         );
+        // Low and hub vertices alike reach `one` in sequence order, with
+        // the prefetch pipeline running ahead.
+        assert_eq!(seen.into_inner(), order);
     }
 
     #[test]
@@ -850,7 +704,6 @@ mod tests {
             block_vertices: usize::MAX,
             bucket: true,
             hub_min: 32,
-            batch16: true,
             prefetch: true,
         };
         let units = build_units(&g, &plan, 50, 20, &|i| Some(i as u32));
@@ -867,7 +720,6 @@ mod tests {
                     block_vertices: block,
                     bucket: true,
                     hub_min: 64,
-                    batch16: true,
                     prefetch: true,
                 };
                 let seen: Vec<AtomicU64> =
@@ -883,11 +735,6 @@ mod tests {
                     |_, v| {
                         seen[v as usize].fetch_add(1, Ordering::Relaxed);
                     },
-                    Some(|_: &mut (), ids: &[u32]| {
-                        for &v in ids {
-                            seen[v as usize].fetch_add(1, Ordering::Relaxed);
-                        }
-                    }),
                     None::<fn(u32)>,
                 );
                 assert!(!bailed);
@@ -914,33 +761,5 @@ mod tests {
         }));
         assert_eq!(pieces, vec![32, 32, 32, 4]);
         assert_eq!(seen, items);
-    }
-
-    #[test]
-    fn batcher_flushes_only_low_degree_vertices() {
-        let g = from_pairs(20, (1..18).map(|v| (0, v)).collect::<Vec<_>>());
-        // Vertex 0 has degree 17 (> 16): must take the `one` path even
-        // though everything else batches.
-        let plan = Plan {
-            block_vertices: usize::MAX,
-            bucket: true,
-            hub_min: u32::MAX,
-            batch16: true,
-            prefetch: true,
-        };
-        let ones = std::cell::Cell::new(0u32);
-        let batched = std::cell::Cell::new(0u32);
-        stream_range(
-            &g,
-            &plan,
-            0..20,
-            &|i| Some(i as u32),
-            &mut (),
-            &|_: &mut (), _| ones.set(ones.get() + 1),
-            Some(&|_: &mut (), ids: &[u32]| batched.set(batched.get() + ids.len() as u32)),
-            None::<&fn(u32)>,
-        );
-        assert_eq!(ones.get(), 1);
-        assert_eq!(batched.get(), 19);
     }
 }

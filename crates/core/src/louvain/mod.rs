@@ -102,10 +102,8 @@ pub struct LouvainConfig {
     /// the traversal granularity. Bit-identical outputs for every setting.
     pub block: Blocking,
     /// Degree-bucketing policy: hub vertices become their own parallel
-    /// scheduling units. Louvain has no ≤16-degree batch kernel (Δmod
-    /// reads community volumes that mutate intra-batch, so a lane snapshot
-    /// would break sequential bit-identity); bucketing here affects only
-    /// hub scheduling and telemetry.
+    /// scheduling units. Every vertex takes the variant's per-vertex move
+    /// kernel, so bucketing here affects only hub scheduling and telemetry.
     pub bucket: Bucketing,
     /// Warm start: adopt a previous assignment and re-converge from a
     /// seeded frontier at the finest level. `None` (the default) is the
@@ -245,10 +243,9 @@ pub(crate) fn run_sweeps<R: Recorder>(
 /// units, parallelism, deadline polling): [`SweepMode::Full`] scans `0..n`
 /// and skips inactive vertices in place; [`SweepMode::Active`] walks the
 /// packed ascending worklist — the same vertices in the same relative
-/// order, hence bit-identical moves. No ≤16-degree batch kernel here (Δmod
-/// reads community volumes that mutate intra-batch), so bucketing affects
-/// only hub scheduling. Returns `true` when a deadline bailed the sweep
-/// early.
+/// order, hence bit-identical moves. Every vertex takes `process`, so
+/// bucketing affects only hub scheduling. Returns `true` when a deadline
+/// bailed the sweep early.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
     g: &Csr,
@@ -274,7 +271,6 @@ pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
             },
             make_buf,
             process,
-            None::<fn(&mut B, &[u32])>,
             warm,
         ),
         SweepMode::Active => {
@@ -288,7 +284,6 @@ pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
                 |i| Some(wl[i]),
                 make_buf,
                 process,
-                None::<fn(&mut B, &[u32])>,
                 warm,
             )
         }

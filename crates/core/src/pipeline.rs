@@ -8,7 +8,7 @@
 //! **typestate pipeline** whose stages are distinct types,
 //!
 //! ```text
-//! Loaded ── build() ──▶ Built ── coarsen() ──▶ Coarsened ── partition() ──▶ Partitioned
+//! Loaded ── build() ──▶ Built ── partition() ──▶ Partitioned
 //! ```
 //!
 //! so out-of-order execution is a *compile* error (there is no
@@ -17,7 +17,7 @@
 //!
 //! * the **substrate lane** (one helper thread running on the shared gp-par
 //!   pool via [`gp_par::Pool::install`]) admits item N+1 and runs its
-//!   `build`/`coarsen` stages while…
+//!   `build` stage while…
 //! * the **kernel lane** (the calling thread) runs item N's kernel rounds.
 //!
 //! Stage handoff goes through a small SPSC slot ([`StageSlot`]) whose
@@ -29,12 +29,10 @@
 //! per-item loop would, on graphs produced by the same (thread-count
 //! invariant) substrate. Outputs for `parallel: false` specs are therefore
 //! bit-identical to sequential execution at any window size and pool size;
-//! `parallel: true` specs keep their usual valid-but-racy semantics. The
-//! `coarsen` stage runs the kernel-independent substrate prep (the degree
-//! census behind the locality layer's bucket planning and the batch
-//! report); multilevel coarsening proper depends on kernel-internal labels
-//! and stays inside the kernel stage — hoisting it out would break the
-//! bit-identity contract.
+//! `parallel: true` specs keep their usual valid-but-racy semantics.
+//! Multilevel coarsening depends on kernel-internal labels and stays inside
+//! the kernel stage — hoisting it out would break the bit-identity
+//! contract.
 //!
 //! Busy/idle timelines ([`gp_metrics::interval`]) thread through the
 //! executor with the usual zero-cost noop path; `fig_pipeline` renders them
@@ -42,7 +40,6 @@
 
 use crate::api::{run_kernel, KernelOutput, KernelSpec};
 use gp_graph::csr::Csr;
-use gp_graph::stats::DegreeHistogram;
 use gp_metrics::interval::{IntervalSink, SpanProbe};
 use gp_metrics::telemetry::{NoopRecorder, Recorder};
 use std::collections::VecDeque;
@@ -216,7 +213,7 @@ impl BatchItem {
 /// use gp_metrics::telemetry::NoopRecorder;
 ///
 /// let item = BatchItem::new("x", KernelSpec::new(Kernel::Coloring), || unreachable!());
-/// // error[E0599]: no method `partition` on `Loaded` — build + coarsen first.
+/// // error[E0599]: no method `partition` on `Loaded` — build first.
 /// Loaded::admit(0, item).partition(&mut NoopRecorder);
 /// ```
 pub struct Loaded {
@@ -243,7 +240,7 @@ impl Loaded {
     }
 }
 
-/// Stage 1 — built: the CSR exists.
+/// Stage 1 — built: the CSR exists; only kernel rounds remain.
 pub struct Built {
     index: usize,
     label: String,
@@ -252,32 +249,6 @@ pub struct Built {
 }
 
 impl Built {
-    /// Runs the coarsen-level substrate prep: the degree census that feeds
-    /// the locality layer's bucket planning and the batch report.
-    /// (Multilevel coarsening proper is kernel-internal — see the module
-    /// docs — so hoisting it here would break bit-identity.)
-    pub fn coarsen(self) -> Coarsened {
-        let census = DegreeHistogram::build(&self.graph);
-        Coarsened {
-            index: self.index,
-            label: self.label,
-            spec: self.spec,
-            graph: self.graph,
-            census,
-        }
-    }
-}
-
-/// Stage 2 — coarsened: substrate work is done; only kernel rounds remain.
-pub struct Coarsened {
-    index: usize,
-    label: String,
-    spec: KernelSpec,
-    graph: Csr,
-    census: DegreeHistogram,
-}
-
-impl Coarsened {
     /// The item's batch position.
     pub fn index(&self) -> usize {
         self.index
@@ -286,11 +257,6 @@ impl Coarsened {
     /// The materialized graph.
     pub fn graph(&self) -> &Csr {
         &self.graph
-    }
-
-    /// The degree census computed by the coarsen stage.
-    pub fn census(&self) -> &DegreeHistogram {
-        &self.census
     }
 
     /// Runs the kernel rounds through the one shared [`run_kernel`]
@@ -307,7 +273,7 @@ impl Coarsened {
     }
 }
 
-/// Stage 3 — partitioned: the finished item.
+/// Stage 2 — partitioned: the finished item.
 pub struct Partitioned {
     index: usize,
     label: String,
@@ -423,7 +389,7 @@ impl PipelineExecutor {
         if n == 0 {
             return results;
         }
-        let slot: StageSlot<Coarsened> = StageSlot::new(self.window);
+        let slot: StageSlot<Built> = StageSlot::new(self.window);
         // The helper thread inherits the *caller's* pool, so both lanes
         // share one set of workers (a per-batch pool would fight the
         // ambient one for cores).
@@ -443,10 +409,7 @@ impl PipelineExecutor {
                             let probe = SpanProbe::begin::<S>();
                             let built = loaded.build();
                             probe.finish(sink, "substrate", 0, "build", index);
-                            let probe = SpanProbe::begin::<S>();
-                            let coarsened = built.coarsen();
-                            probe.finish(sink, "substrate", 0, "coarsen", index);
-                            if !slot.push(coarsened) {
+                            if !slot.push(built) {
                                 break;
                             }
                         }
@@ -530,9 +493,8 @@ mod tests {
             0,
             BatchItem::new("c", spec, move || rmat(RmatConfig::new(8, 4).with_seed(3))),
         )
-        .build()
-        .coarsen();
-        assert!(staged.census().max_degree > 0);
+        .build();
+        assert!(staged.graph().max_degree() > 0);
         let done = staged.partition(&mut NoopRecorder);
         assert_eq!(done.vertices(), 256);
         assert_eq!(*done.output(), expected);
@@ -578,8 +540,8 @@ mod tests {
         );
         assert!(got.iter().all(|o| !o.is_cancelled()));
         let tl = rec.into_timeline();
-        // 2 items × (build + coarsen) on the substrate lane + 2 kernels.
-        assert_eq!(tl.spans().len(), 6);
+        // 2 builds on the substrate lane + 2 kernels.
+        assert_eq!(tl.spans().len(), 4);
         let sum = tl.summary();
         assert_eq!(sum.lanes, 2);
         assert!(sum.stages.iter().any(|s| s.stage == "kernel"));

@@ -33,13 +33,13 @@ const ALL_KERNELS: [&str; 8] = [
 
 /// The blocked configurations under test: a degenerate one-vertex block
 /// (every vertex is its own locality unit — the harshest schedule), a
-/// small odd vertex count (blocks misaligned with the 16-lane batches),
+/// small odd vertex count (blocks misaligned with 16-lane vectors),
 /// and a cache-budget policy (the production default shape).
 const BLOCKS: [Blocking; 3] = [Blocking::Vertices(1), Blocking::Vertices(7), Blocking::Kb(64)];
 
 /// Graphs with deliberately different degree profiles: a regular mesh
 /// (everything mid-degree), a power law (hubs + low-degree fringe), and a
-/// sparse ER graph (mostly ≤ 16 neighbors — the batched bucket dominates).
+/// sparse ER graph (mostly ≤ 16 neighbors — the low bucket dominates).
 fn zoo() -> Vec<(&'static str, Csr)> {
     vec![
         ("mesh", triangular_mesh(16, 16, 3)),

@@ -16,7 +16,6 @@ use gp_graph::csr::Csr;
 use gp_graph::generators::ba::preferential_attachment;
 use gp_graph::generators::er::erdos_renyi;
 use gp_graph::generators::rmat::{rmat, RmatConfig};
-use gp_graph::stats::DegreeHistogram;
 use gp_metrics::interval::NoopIntervals;
 use gp_metrics::telemetry::NoopRecorder;
 use std::time::Instant;
@@ -140,7 +139,7 @@ fn cancellation_mid_batch_keeps_completed_items_and_drops_the_rest() {
 }
 
 /// Wrapper-overhead gate (test half): a window-1 pipeline over a batch
-/// must cost <3% over the direct build + census + `run_kernel` loop on
+/// must cost <3% over the direct build + `run_kernel` loop on
 /// identical specs. Timing-based, so it self-skips when the host can't
 /// repeat the baseline within 2% (same hygiene as the fig `--check`
 /// variance gates).
@@ -152,8 +151,6 @@ fn pipeline_wrapper_overhead_below_three_percent() {
         let t = Instant::now();
         for (_, spec, source) in &specs {
             let g = source();
-            let census = DegreeHistogram::build(&g);
-            std::hint::black_box(census.max_degree);
             std::hint::black_box(run_kernel(&g, spec, &mut NoopRecorder));
         }
         t.elapsed().as_secs_f64()

@@ -67,11 +67,11 @@ pub fn degree_histogram(g: &Csr) -> Vec<usize> {
 }
 
 /// Highest degree with an exact slot in [`DegreeHistogram::low`]: the
-/// one-vertex-per-lane batch width of the locality layer (16 lanes).
+/// locality layer's low bin (≤16 neighbors, one 16-lane register's worth).
 pub const LOW_DEGREE_SLOTS: usize = 16;
 
-/// Compact degree histogram: exact counts for the ≤16-degree range the
-/// vector batch kernels care about, log2 buckets above. Cheap to build
+/// Compact degree histogram: exact counts for the ≤16-degree low bin, log2
+/// buckets above. Cheap to build
 /// (one pass over the row index, no per-degree allocation even for
 /// billion-degree hubs) and the sole input to the locality layer's
 /// hub-threshold rule, so thresholds are a pure function of the graph.
@@ -115,7 +115,7 @@ impl DegreeHistogram {
         h
     }
 
-    /// Number of vertices with degree ≤ 16 (the batchable population).
+    /// Number of vertices with degree ≤ 16 (the low-bin population).
     pub fn low_total(&self) -> usize {
         self.low.iter().sum()
     }

@@ -32,7 +32,7 @@ pub struct Span {
     pub lane: &'static str,
     /// Worker index within the lane (0 for single-worker lanes).
     pub worker: usize,
-    /// Stage label (`"build"`, `"coarsen"`, `"kernel"`, ...).
+    /// Stage label (`"build"`, `"kernel"`, ...).
     pub stage: &'static str,
     /// Batch-item index the span worked on.
     pub item: usize,

@@ -80,7 +80,7 @@ pub struct RoundStats {
     /// Cache blocks the round's sweep was partitioned into (locality
     /// layer); zero when blocking is off or the kernel bypasses it.
     pub blocks: u64,
-    /// Eligible vertices routed to the ≤16-degree one-vertex-per-lane bin.
+    /// Eligible vertices in the ≤16-degree low bin.
     pub bin_low: u64,
     /// Eligible vertices routed to the mid-degree per-vertex bin.
     pub bin_mid: u64,

@@ -203,11 +203,6 @@ mod imp {
         }
 
         #[inline(always)]
-        fn sllv_i32(&self, a: Self::I32, count: Self::I32) -> Self::I32 {
-            unsafe { _mm512_sllv_epi32(a, count) }
-        }
-
-        #[inline(always)]
         fn or_i32(&self, a: Self::I32, b: Self::I32) -> Self::I32 {
             unsafe { _mm512_or_si512(a, b) }
         }
@@ -320,17 +315,6 @@ mod tests {
         let s = engine();
         let v = s.splat_i32(-7);
         assert_eq!(s.to_array_i32(v), [-7; LANES]);
-    }
-
-    #[test]
-    fn sllv_matches_emulated() {
-        let s = engine();
-        let e = crate::backend::Emulated;
-        let vals: [i32; LANES] = std::array::from_fn(|i| 1 + i as i32);
-        let counts: [i32; LANES] = std::array::from_fn(|i| (i * 3) as i32);
-        let native = s.to_array_i32(s.sllv_i32(s.from_array_i32(vals), s.from_array_i32(counts)));
-        let emu = e.sllv_i32(vals, counts);
-        assert_eq!(native, emu);
     }
 
     #[test]

@@ -154,9 +154,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     fn mul_f32(&self, a: Self::F32, b: Self::F32) -> Self::F32;
     /// Lane-wise left shift by an immediate (`vpslld`).
     fn shl_i32<const IMM: u32>(&self, a: Self::I32) -> Self::I32;
-    /// Lane-wise variable left shift: `a[i] << count[i]` (`vpsllvd`).
-    /// Counts ≥ 32 zero the lane, matching the hardware semantics.
-    fn sllv_i32(&self, a: Self::I32, count: Self::I32) -> Self::I32;
     /// Lane-wise OR.
     fn or_i32(&self, a: Self::I32, b: Self::I32) -> Self::I32;
     /// Lane-wise AND.

@@ -209,18 +209,6 @@ impl Simd for Emulated {
     }
 
     #[inline(always)]
-    fn sllv_i32(&self, a: Self::I32, count: Self::I32) -> Self::I32 {
-        std::array::from_fn(|i| {
-            let c = count[i] as u32;
-            if c >= 32 {
-                0
-            } else {
-                ((a[i] as u32) << c) as i32
-            }
-        })
-    }
-
-    #[inline(always)]
     fn or_i32(&self, a: Self::I32, b: Self::I32) -> Self::I32 {
         std::array::from_fn(|i| a[i] | b[i])
     }
@@ -466,18 +454,6 @@ mod tests {
         let out = S.shl_i32::<4>(v);
         for i in 0..LANES {
             assert_eq!(out[i], (i as i32) << 4);
-        }
-    }
-
-    #[test]
-    fn sllv_shifts_per_lane_and_saturates() {
-        let ones = S.splat_i32(1);
-        let counts = S.from_array_i32(std::array::from_fn(|i| (i * 3) as i32));
-        let out = S.sllv_i32(ones, counts);
-        for i in 0..LANES {
-            let c = i * 3;
-            let expect = if c >= 32 { 0 } else { 1i32 << c };
-            assert_eq!(out[i], expect, "lane {i}");
         }
     }
 

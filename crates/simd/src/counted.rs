@@ -189,12 +189,6 @@ impl<S: Simd> Simd for Counted<S> {
     }
 
     #[inline(always)]
-    fn sllv_i32(&self, a: Self::I32, count: Self::I32) -> Self::I32 {
-        record(OpClass::VecAlu, 1);
-        self.inner.sllv_i32(a, count)
-    }
-
-    #[inline(always)]
     fn or_i32(&self, a: Self::I32, b: Self::I32) -> Self::I32 {
         record(OpClass::VecAlu, 1);
         self.inner.or_i32(a, b)
