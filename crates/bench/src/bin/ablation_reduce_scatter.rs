@@ -32,6 +32,7 @@ fn index_batches(distinct: usize, batches: usize, acc_len: i32, seed: u64) -> Ve
         .collect()
 }
 
+#[inline(always)]
 fn run_batches<S: Simd>(
     s: &S,
     strategy: Strategy,
@@ -76,7 +77,9 @@ fn main() {
             let wall = match gp_core::backends::engine() {
                 Engine::Native(s) => {
                     let mut acc = vec![0f32; acc_len];
-                    time_runs(&ctx.timing, |_| run_batches(&s, strategy, &batches, &mut acc))
+                    time_runs(&ctx.timing, |_| {
+                        s.vectorize(|| run_batches(&s, strategy, &batches, &mut acc))
+                    })
                 }
                 Engine::Emulated(s) => {
                     let mut acc = vec![0f32; acc_len];

@@ -59,7 +59,7 @@ impl VecWorkspace {
 }
 
 /// Vectorized `AssignColors` for one vertex; returns its new color.
-#[inline]
+#[inline(always)]
 fn assign_one_onpl<S: Simd>(
     s: &S,
     g: &Csr,
@@ -124,7 +124,7 @@ pub fn assign_colors_onpl<S: Simd + Sync>(
         config.parallel,
         plan,
         || VecWorkspace::new(max_degree),
-        |ws, v| assign_one_onpl(s, g, colors, v, ws),
+        |ws, v| s.vectorize(|| assign_one_onpl(s, g, colors, v, ws)),
     );
 }
 
@@ -142,26 +142,28 @@ pub fn detect_conflicts_onpl<S: Simd + Sync>(
 ) -> Vec<u32> {
     let view = colors_as_i32(colors);
     let find = |&v: &u32| -> Option<u32> {
-        let cv = colors[v as usize].load(Ordering::Relaxed) as i32;
-        let cv_v = s.splat_i32(cv);
-        let self_v = s.splat_i32(v as i32);
-        let neighbors = as_i32(g.neighbors(v));
-        let mut off = 0;
-        while off < neighbors.len() {
-            let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
-            // u < v (the paper's tie-break) — self-loops excluded implicitly.
-            let lower = s.cmplt_i32(nbrs, self_v).and(mask);
-            if !lower.is_empty() {
-                // SAFETY: neighbor ids < |V| = colors.len().
-                let cols = unsafe { s.gather_i32(view, nbrs, lower, s.splat_i32(-1)) };
-                let clash = s.cmpeq_i32(cols, cv_v).and(lower);
-                if !clash.is_empty() {
-                    return Some(v);
+        s.vectorize(|| {
+            let cv = colors[v as usize].load(Ordering::Relaxed) as i32;
+            let cv_v = s.splat_i32(cv);
+            let self_v = s.splat_i32(v as i32);
+            let neighbors = as_i32(g.neighbors(v));
+            let mut off = 0;
+            while off < neighbors.len() {
+                let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
+                // u < v (the paper's tie-break) — self-loops excluded implicitly.
+                let lower = s.cmplt_i32(nbrs, self_v).and(mask);
+                if !lower.is_empty() {
+                    // SAFETY: neighbor ids < |V| = colors.len().
+                    let cols = unsafe { s.gather_i32(view, nbrs, lower, s.splat_i32(-1)) };
+                    let clash = s.cmpeq_i32(cols, cv_v).and(lower);
+                    if !clash.is_empty() {
+                        return Some(v);
+                    }
                 }
+                off += LANES;
             }
-            off += LANES;
-        }
-        None
+            None
+        })
     };
     let mut newconf: Vec<u32> = if config.parallel {
         use rayon::prelude::*;

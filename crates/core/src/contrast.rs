@@ -36,22 +36,24 @@ pub fn spmv_scalar(g: &Csr, x: &[f32], y: &mut [f32]) {
 pub fn spmv_vector<S: Simd>(s: &S, g: &Csr, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), g.num_vertices());
     assert_eq!(y.len(), g.num_vertices());
-    let zero = s.splat_f32(0.0);
-    for u in g.vertices() {
-        let neighbors = as_i32(g.neighbors(u));
-        let weights = g.weights_of(u);
-        let mut acc = zero;
-        let mut off = 0;
-        while off < neighbors.len() {
-            let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
-            let (wts, _) = s.load_tail_f32(&weights[off..]);
-            // SAFETY: neighbor ids < |V| = x.len() (CSR invariant).
-            let xs = unsafe { s.gather_f32(x, nbrs, mask, zero) };
-            acc = s.mask_add_f32(acc, mask, acc, s.mul_f32(wts, xs));
-            off += LANES;
+    s.vectorize(|| {
+        let zero = s.splat_f32(0.0);
+        for u in g.vertices() {
+            let neighbors = as_i32(g.neighbors(u));
+            let weights = g.weights_of(u);
+            let mut acc = zero;
+            let mut off = 0;
+            while off < neighbors.len() {
+                let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
+                let (wts, _) = s.load_tail_f32(&weights[off..]);
+                // SAFETY: neighbor ids < |V| = x.len() (CSR invariant).
+                let xs = unsafe { s.gather_f32(x, nbrs, mask, zero) };
+                acc = s.mask_add_f32(acc, mask, acc, s.mul_f32(wts, xs));
+                off += LANES;
+            }
+            y[u as usize] = s.reduce_add_f32(acc);
         }
-        y[u as usize] = s.reduce_add_f32(acc);
-    }
+    })
 }
 
 /// Result of a BFS: level per vertex (`u32::MAX` = unreached).
@@ -124,45 +126,47 @@ pub fn bfs_vector<S: Simd>(s: &S, g: &Csr, source: u32) -> BfsResult {
         frontier_sizes: Vec::new(),
         info: RunInfo::default(),
     };
-    let unreached = s.splat_i32(-1);
-    let mut depth = 0i32;
-    let mut spill = [0i32; LANES];
-    while !frontier.is_empty() {
-        result.frontier_sizes.push(frontier.len());
-        let mut next: Vec<i32> = Vec::new();
-        let next_level = s.splat_i32(depth + 1);
-        for &u in &frontier {
-            let neighbors = as_i32(g.neighbors(u as u32));
-            let mut off = 0;
-            while off < neighbors.len() {
-                let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
-                // SAFETY: neighbor ids < |V| = levels.len().
-                let lv = unsafe { s.gather_i32(&levels, nbrs, mask, s.splat_i32(0)) };
-                let fresh = s.cmpeq_i32(lv, unreached).and(mask);
-                if !fresh.is_empty() {
-                    // Mark immediately so later chunks see them; duplicate
-                    // lanes within one chunk scatter the same value.
-                    unsafe { s.scatter_i32(&mut levels, nbrs, next_level, fresh) };
-                    let packed = s.compress_i32(fresh, nbrs);
-                    s.store_i32(&mut spill, packed);
-                    let mut taken = &spill[..fresh.count()];
-                    // In-chunk duplicates survive the compress; drop them so
-                    // the frontier matches the scalar algorithm's.
-                    let mut seen_in_chunk: Vec<i32> = Vec::with_capacity(taken.len());
-                    for &v in taken {
-                        if !seen_in_chunk.contains(&v) {
-                            seen_in_chunk.push(v);
+    s.vectorize(|| {
+        let unreached = s.splat_i32(-1);
+        let mut depth = 0i32;
+        let mut spill = [0i32; LANES];
+        while !frontier.is_empty() {
+            result.frontier_sizes.push(frontier.len());
+            let mut next: Vec<i32> = Vec::new();
+            let next_level = s.splat_i32(depth + 1);
+            for &u in &frontier {
+                let neighbors = as_i32(g.neighbors(u as u32));
+                let mut off = 0;
+                while off < neighbors.len() {
+                    let (nbrs, mask) = s.load_tail_i32(&neighbors[off..]);
+                    // SAFETY: neighbor ids < |V| = levels.len().
+                    let lv = unsafe { s.gather_i32(&levels, nbrs, mask, s.splat_i32(0)) };
+                    let fresh = s.cmpeq_i32(lv, unreached).and(mask);
+                    if !fresh.is_empty() {
+                        // Mark immediately so later chunks see them; duplicate
+                        // lanes within one chunk scatter the same value.
+                        unsafe { s.scatter_i32(&mut levels, nbrs, next_level, fresh) };
+                        let packed = s.compress_i32(fresh, nbrs);
+                        s.store_i32(&mut spill, packed);
+                        let mut taken = &spill[..fresh.count()];
+                        // In-chunk duplicates survive the compress; drop them so
+                        // the frontier matches the scalar algorithm's.
+                        let mut seen_in_chunk: Vec<i32> = Vec::with_capacity(taken.len());
+                        for &v in taken {
+                            if !seen_in_chunk.contains(&v) {
+                                seen_in_chunk.push(v);
+                            }
                         }
+                        taken = &seen_in_chunk[..];
+                        next.extend_from_slice(taken);
                     }
-                    taken = &seen_in_chunk[..];
-                    next.extend_from_slice(taken);
+                    off += LANES;
                 }
-                off += LANES;
             }
+            frontier = next;
+            depth += 1;
         }
-        frontier = next;
-        depth += 1;
-    }
+    });
     result.levels = levels.into_iter().map(|l| l as u32).collect();
     result.info = RunInfo::new(
         S::NAME,

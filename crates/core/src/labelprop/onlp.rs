@@ -30,7 +30,7 @@ fn labels_view(labels: &[AtomicU32]) -> &[i32] {
 
 /// Vectorized heaviest-label selection for `u`; `None` if no non-loop
 /// neighbor exists.
-#[inline]
+#[inline(always)]
 fn best_label_onlp<S: Simd>(
     s: &S,
     g: &Csr,
@@ -114,7 +114,7 @@ pub(crate) fn label_propagation_onlp_recorded<S: Simd + Sync, R: Recorder>(
     rec: &mut R,
 ) -> LabelPropResult {
     run_lp_sweeps(g, config, rec, S::NAME, |g, labels, u, buf| {
-        best_label_onlp(s, g, labels, u, buf)
+        s.vectorize(|| best_label_onlp(s, g, labels, u, buf))
     })
 }
 

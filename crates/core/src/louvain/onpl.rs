@@ -43,7 +43,7 @@ fn volume_view(vol: &[AtomicF32]) -> &[f32] {
 /// Vectorized Δmod argmax over the touched communities. Returns
 /// `(best_community, best_delta)`; `best_delta <= 0` means "stay".
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's data flow
-#[inline]
+#[inline(always)]
 fn select_best<S: Simd>(
     s: &S,
     state: &MoveState,
@@ -132,7 +132,7 @@ fn select_best<S: Simd>(
 
 /// The full ONPL best-move kernel for one vertex.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 pub(crate) fn best_move_onpl<S: Simd>(
     s: &S,
     g: &Csr,
@@ -206,8 +206,8 @@ pub fn move_phase_onpl_recorded<S: Simd + Sync, R: Recorder>(
                 rec,
                 || AffinityBuf::new(n),
                 |buf, u| {
-                    if let Some((c, d)) =
-                        best_move_onpl(s, g, state, u, strategy, buf, inv_m, inv_2m2)
+                    if let Some((c, d)) = s
+                        .vectorize(|| best_move_onpl(s, g, state, u, strategy, buf, inv_m, inv_2m2))
                     {
                         state.apply_move(u, c, d);
                         moved.fetch_add(1, Ordering::Relaxed);

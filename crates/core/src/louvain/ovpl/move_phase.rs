@@ -64,7 +64,7 @@ fn zeta_view(zeta: &[std::sync::atomic::AtomicU32]) -> &[i32] {
 /// lane, so both sweep modes compute identical per-lane accumulators and
 /// the full/active outputs stay bit-identical. Returns moves applied.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's data flow
-#[inline]
+#[inline(always)]
 fn process_block<S: Simd>(
     s: &S,
     layout: &OvplLayout,
@@ -241,7 +241,9 @@ pub fn move_phase_ovpl_recorded<S: Simd + Sync, R: Recorder>(
                 || BlockBuf::new(n),
                 |buf, i| {
                     let block = &layout.blocks[ids[i] as usize];
-                    let m = process_block(s, layout, block, state, fr, buf, inv_m, inv_2m2);
+                    let m = s.vectorize(|| {
+                        process_block(s, layout, block, state, fr, buf, inv_m, inv_2m2)
+                    });
                     moved.fetch_add(m, Ordering::Relaxed);
                 },
             );

@@ -118,15 +118,17 @@ pub fn slpa_with<S: Simd>(s: &S, g: &Csr, config: &SlpaConfig) -> OverlapResult 
             }
             // Listener: weighted frequency of the neighbors' spoken labels —
             // the shared vectorized aggregation.
-            accumulate(
-                s,
-                as_i32(g.neighbors(u)),
-                g.weights_of(u),
-                u,
-                as_i32(&spoken),
-                Strategy::Adaptive,
-                &mut buf,
-            );
+            s.vectorize(|| {
+                accumulate(
+                    s,
+                    as_i32(g.neighbors(u)),
+                    g.weights_of(u),
+                    u,
+                    as_i32(&spoken),
+                    Strategy::Adaptive,
+                    &mut buf,
+                )
+            });
             let mut best: Option<(u32, f32)> = None;
             for &l in &buf.touched {
                 let w = buf.aff[l as usize];

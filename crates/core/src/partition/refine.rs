@@ -172,15 +172,17 @@ pub fn refine<S: Simd>(
     rebalance(g, weights, parts, config);
     for _ in 0..config.refine_passes {
         let moves = sweep(g, weights, parts, config, |u, parts, buf| {
-            accumulate(
-                s,
-                as_i32(g.neighbors(u)),
-                g.weights_of(u),
-                u,
-                parts_as_i32(parts),
-                Strategy::Adaptive,
-                buf,
-            );
+            s.vectorize(|| {
+                accumulate(
+                    s,
+                    as_i32(g.neighbors(u)),
+                    g.weights_of(u),
+                    u,
+                    parts_as_i32(parts),
+                    Strategy::Adaptive,
+                    buf,
+                )
+            });
             let from = parts[u as usize];
             let internal = buf.aff[from as usize];
             let best = buf

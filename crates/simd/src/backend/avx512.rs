@@ -3,10 +3,14 @@
 //! Every method maps one-to-one onto the intrinsic named in the [`Simd`]
 //! trait docs. Soundness: `Avx512` can only be obtained through
 //! [`Avx512::new`], which performs runtime CPU-feature detection, so holding
-//! a value proves the instructions exist on this machine. For full
-//! performance compile with `-C target-cpu=native` (this repository's
-//! `.cargo/config.toml` does so), the analog of the paper's
-//! `icpc -xCORE-AVX512`.
+//! a value proves the instructions exist on this machine.
+//!
+//! The build targets baseline x86-64, so the same binary runs (on the
+//! emulated backend) where AVX-512 is missing. An intrinsic inlines only
+//! into code compiled with its feature, which [`Simd::vectorize`] provides:
+//! it runs the kernel's per-item body inside an
+//! `avx512f,avx512cd` `#[target_feature]` function, the analog of the
+//! paper's `icpc -xCORE-AVX512` for exactly the vector kernels.
 
 use super::Simd;
 use crate::vector::{Mask16, LANES};
@@ -40,6 +44,23 @@ mod imp {
 
         const NAME: &'static str = "avx512";
         const IS_VECTOR: bool = true;
+
+        #[inline(always)]
+        fn vectorize<R>(&self, f: impl FnOnce() -> R) -> R {
+            /// Runs `f` compiled with AVX-512F/CD enabled, so the
+            /// intrinsics it inlines become plain instructions.
+            ///
+            /// # Safety
+            /// The CPU must support AVX-512F and AVX-512CD.
+            #[target_feature(enable = "avx512f,avx512cd")]
+            #[inline]
+            unsafe fn enabled<R>(f: impl FnOnce() -> R) -> R {
+                f()
+            }
+            // SAFETY: an `Avx512` value exists only after `Avx512::new` has
+            // detected both AVX-512F and AVX-512CD on this CPU.
+            unsafe { enabled(f) }
+        }
 
         #[inline(always)]
         fn splat_i32(&self, x: i32) -> Self::I32 {

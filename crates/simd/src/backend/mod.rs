@@ -46,6 +46,24 @@ pub trait Simd: Copy + Send + Sync + 'static {
     /// remainder work during modeled runs, at zero cost in timed runs.
     const IS_COUNTED: bool = false;
 
+    // ---- code generation -------------------------------------------------
+
+    /// Runs `f` with this backend's instructions enabled for code
+    /// generation, and returns its value.
+    ///
+    /// The workspace builds for baseline x86-64, where LLVM will not inline
+    /// a `core::arch` intrinsic, so outside this call every native vector
+    /// op is an out-of-line function call. A kernel therefore runs its
+    /// per-item body (one vertex, one block) as `s.vectorize(|| ..)`, and
+    /// marks the kernel helpers that body calls `#[inline(always)]` (the
+    /// backend methods already are), so the whole body, intrinsics included,
+    /// is compiled inside the feature-enabled frame. The default (and [`Emulated`]'s) just calls
+    /// `f`.
+    #[inline(always)]
+    fn vectorize<R>(&self, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+
     // ---- construction / inspection -------------------------------------
 
     /// Broadcast one i32 to all lanes (`vpbroadcastd`).

@@ -37,6 +37,11 @@ impl<S: Simd> Simd for Counted<S> {
     const IS_COUNTED: bool = true;
 
     #[inline(always)]
+    fn vectorize<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.inner.vectorize(f)
+    }
+
+    #[inline(always)]
     fn splat_i32(&self, x: i32) -> Self::I32 {
         record(OpClass::VecAlu, 1);
         self.inner.splat_i32(x)

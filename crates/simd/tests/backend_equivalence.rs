@@ -6,7 +6,8 @@
 //! On hosts without AVX-512 the tests pass vacuously (there is nothing to
 //! compare against).
 
-use gp_simd::backend::{Avx512, Emulated, Simd};
+use gp_simd::backend::{conflict_free_mask, Avx512, Emulated, Simd};
+use gp_simd::counted::Counted;
 use gp_simd::vector::{Mask16, LANES};
 use proptest::prelude::*;
 
@@ -199,4 +200,75 @@ fn duplicate_scatter_semantics_agree() {
         assert_eq!(dst_n, dst_e);
         assert_eq!(dst_n[3], 15);
     });
+}
+
+/// `vectorize` must hand back the closure's value after running it exactly
+/// once, on every backend and through the counting decorator.
+fn check_vectorize_runs_once<S: Simd>(s: S) {
+    let mut calls = 0;
+    let owned = String::from(S::NAME);
+    let out = s.vectorize(|| {
+        calls += 1;
+        owned
+    });
+    assert_eq!(out, S::NAME);
+    assert_eq!(calls, 1, "{}", S::NAME);
+}
+
+#[test]
+fn vectorize_runs_the_closure_once_and_returns_its_value() {
+    check_vectorize_runs_once(Emulated);
+    check_vectorize_runs_once(Counted::new(Emulated));
+    with_native(|n| {
+        check_vectorize_runs_once(n);
+        check_vectorize_runs_once(Counted::new(n));
+    });
+}
+
+/// One reduce-scatter step as the kernels run it: conflict-free lanes
+/// gather, add and scatter into `acc`; the remaining lanes equal to the
+/// first of them are summed with a masked reduction.
+#[inline(always)]
+fn reduce_scatter_step<S: Simd>(
+    s: &S,
+    idx: [i32; LANES],
+    vals: [f32; LANES],
+    acc: &mut [f32],
+) -> (Mask16, f32) {
+    let iv = s.from_array_i32(idx);
+    let v = s.from_array_f32(vals);
+    let free = conflict_free_mask(s, s.conflict_i32(iv));
+    // SAFETY: every index is below acc.len() (the caller draws them so).
+    let cur = unsafe { s.gather_f32(acc, iv, free, s.splat_f32(0.0)) };
+    unsafe { s.scatter_f32(acc, iv, s.add_f32(cur, v), free) };
+    let rest = free.not();
+    let sum = match rest.first_set() {
+        Some(lane) => {
+            let same = s.mask_cmpeq_i32(rest, iv, s.splat_i32(idx[lane]));
+            s.mask_reduce_add_f32(same, v)
+        }
+        None => 0.0,
+    };
+    (free, sum)
+}
+
+proptest! {
+    /// The sequence compiled inside `Avx512::vectorize` (intrinsics
+    /// inlined) computes what the emulation computes. Integer-valued
+    /// weights keep every sum exact, whatever the reduction order.
+    #[test]
+    fn reduce_scatter_step_inside_vectorize_matches(
+        idx in small_lanes_i32(),
+        vals in prop::array::uniform16(-1000i32..1000),
+    ) {
+        let vals = vals.map(|x| x as f32);
+        with_native(|n| {
+            let mut acc_n: Vec<f32> = (0..8).map(|x| x as f32).collect();
+            let mut acc_e = acc_n.clone();
+            let native = n.vectorize(|| reduce_scatter_step(&n, idx, vals, &mut acc_n));
+            let emulated = reduce_scatter_step(&Emulated, idx, vals, &mut acc_e);
+            assert_eq!(native, emulated);
+            assert_eq!(acc_n, acc_e);
+        });
+    }
 }
