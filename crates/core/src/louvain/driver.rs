@@ -13,6 +13,7 @@ use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{PhaseProbe, Recorder, RunInfo, RunTimer};
 use gp_simd::backend::Simd;
 use gp_simd::engine::Engine;
+use std::borrow::Cow;
 
 /// Outcome of a full Louvain run.
 #[derive(Debug, Clone)]
@@ -165,7 +166,8 @@ fn louvain_with_runner<R: Recorder>(
         info: RunInfo::default(),
     };
 
-    let mut level_graph = g.clone();
+    // Level 0 runs on the caller's graph; only coarse graphs are owned.
+    let mut level_graph = Cow::Borrowed(g);
     let mut assignments: Vec<(Vec<u32>, Vec<u32>)> = Vec::new(); // (zeta, fine_to_coarse)
     // Warm starts apply only at the finest level: coarse graphs have their
     // own vertex space, so deeper levels run cold from singletons.
@@ -200,7 +202,7 @@ fn louvain_with_runner<R: Recorder>(
         if done {
             break;
         }
-        level_graph = coarse.graph;
+        level_graph = Cow::Owned(coarse.graph);
         level_config.warm = None;
     }
 

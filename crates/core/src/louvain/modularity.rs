@@ -52,11 +52,26 @@ pub fn modularity(g: &Csr, zeta: &[u32]) -> f64 {
 }
 
 /// Number of non-empty communities in an assignment.
+///
+/// O(n) with a seen-bitmap over the ids; ids far larger than the
+/// assignment (where the bitmap would outgrow the input) are sorted
+/// instead.
 pub fn count_communities(zeta: &[u32]) -> usize {
-    let mut ids: Vec<u32> = zeta.to_vec();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.len()
+    let Some(&max) = zeta.iter().max() else {
+        return 0;
+    };
+    let words = max as usize / 64 + 1;
+    if words > zeta.len() {
+        let mut ids: Vec<u32> = zeta.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        return ids.len();
+    }
+    let mut seen = vec![0u64; words];
+    for &c in zeta {
+        seen[c as usize / 64] |= 1 << (c % 64);
+    }
+    seen.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 #[cfg(test)]
@@ -137,6 +152,10 @@ mod tests {
     fn count_communities_works() {
         assert_eq!(count_communities(&[5, 5, 2, 7]), 3);
         assert_eq!(count_communities(&[]), 0);
+        // Ids past the bitmap bound take the sorting path.
+        assert_eq!(count_communities(&[u32::MAX, 0, u32::MAX, 70]), 3);
+        let perm: Vec<u32> = (0..1000).rev().collect();
+        assert_eq!(count_communities(&perm), 1000);
     }
 
     #[test]

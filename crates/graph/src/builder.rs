@@ -4,14 +4,24 @@
 //! parallel edges, the NetworKit convention), and counting-sorts edges into
 //! CSR in O(|V| + |E|).
 //!
-//! Every pass is rayon-parallel and **thread-count invariant**: canonicalize
-//! and validate run as a parallel map, dedup uses a parallel sort with a
-//! total key order (`(u, v, w.to_bits())`, so equal-position duplicates are
-//! bitwise interchangeable) followed by run-aligned chunked merging, and the
-//! counting sort is the classic two-pass scheme — per-chunk degree
-//! histograms, an exclusive prefix across chunks, then a disjoint parallel
-//! scatter. The scatter positions reproduce the serial edge order exactly,
-//! so the CSR bytes never depend on how many threads ran the build.
+//! Every pass is rayon-parallel and **thread-count invariant**:
+//!
+//! * canonicalize and validate run as a parallel map;
+//! * dedup first orders the canonical edges by `(u, v)` with a stable LSD
+//!   radix sort (`radix_sort_by_key`), then sorts each run of equal
+//!   `(u, v)` by weight bits and folds it. The result is the sequence a
+//!   comparison sort on the total key `(u << 32 | v, w.to_bits())` gives,
+//!   so weight aggregation folds duplicates in one fixed order;
+//! * the counting sort into CSR is the classic two-pass scheme: per-chunk
+//!   degree histograms, an exclusive prefix across chunks, then a disjoint
+//!   parallel scatter.
+//!
+//! Each radix pass and the CSR scatter reproduce the serial order exactly,
+//! so the CSR bytes never depend on how many threads ran the build. After
+//! dedup the rows come out of the scatter ascending: row `x` first receives
+//! the smaller endpoints of its edges `(u, x)`, `u < x`, in increasing `u`,
+//! then the larger endpoints of its edges `(x, v)`, `v ≥ x`, in increasing
+//! `v`. Only [`DedupPolicy::KeepAll`] sorts rows afterwards.
 
 use crate::csr::Csr;
 use crate::par::{chunk_count, chunk_ranges, SharedWriter};
@@ -21,7 +31,7 @@ use rayon::prelude::*;
 /// Below this many staged edges the build runs the cheap serial path (the
 /// parallel path produces identical bytes; this only avoids rayon overhead
 /// on the thousands of tiny graphs the test suite builds).
-const PARALLEL_THRESHOLD: usize = 1 << 14;
+pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
 
 /// Chunks smaller than this are not worth a degree histogram of their own.
 const MIN_CHUNK: usize = 1 << 13;
@@ -111,9 +121,7 @@ impl GraphBuilder {
                 e.v
             );
             assert!(e.w.is_finite() && e.w >= 0.0, "edge weights must be finite and non-negative");
-            if e.u > e.v {
-                std::mem::swap(&mut e.u, &mut e.v);
-            }
+            (e.u, e.v) = (e.u.min(e.v), e.u.max(e.v));
         };
         if parallel {
             edges.par_iter_mut().with_min_len(MIN_CHUNK).for_each(canonicalize);
@@ -121,52 +129,148 @@ impl GraphBuilder {
             edges.iter_mut().for_each(canonicalize);
         }
 
-        if self.dedup != DedupPolicy::KeepAll {
-            // Total sort key: endpoint pair, then weight bits. Weights are
-            // validated non-negative, so `to_bits` orders like `<=` and ties
-            // are bitwise-identical edges — any sort (serial pdqsort or
-            // parallel merge) yields the same byte sequence, and weight
-            // aggregation folds duplicates in one fixed order.
-            let sort_key = |e: &Edge| (((e.u as u64) << 32) | e.v as u64, e.w.to_bits());
-            if parallel {
-                edges.par_sort_unstable_by_key(sort_key);
-            } else {
-                edges.sort_unstable_by_key(sort_key);
-            }
-            edges = dedup_sorted(edges, self.dedup, parallel);
+        if self.dedup == DedupPolicy::KeepAll {
+            let (xadj, adj, weights) = counting_sort_csr(n, &edges, parallel);
+            let mut g = Csr::from_raw(xadj, adj, weights);
+            g.sort_adjacency();
+            return g;
         }
-
+        let b = bits(n.saturating_sub(1) as u64);
+        edges = radix_sort_by_key(edges, 2 * b, |e| ((e.u as u64) << b) | e.v as u64, parallel);
+        edges = dedup_sorted(edges, self.dedup, parallel);
         let (xadj, adj, weights) = counting_sort_csr(n, &edges, parallel);
-        let mut g = Csr::from_raw(xadj, adj, weights);
-        g.sort_adjacency();
-        g
+        Csr::from_raw(xadj, adj, weights)
     }
 }
 
-/// Merges runs of equal `(u, v)` in a sorted edge list according to
-/// `policy`. The parallel path splits the list into run-aligned chunks (a
-/// chunk never starts mid-run), merges each chunk independently, and
-/// concatenates in chunk order — byte-identical to the serial scan.
-fn dedup_sorted(edges: Vec<Edge>, policy: DedupPolicy, parallel: bool) -> Vec<Edge> {
-    let merge_run = |out: &mut Vec<Edge>, e: &Edge| match out.last_mut() {
-        Some(last) if last.u == e.u && last.v == e.v => match policy {
-            DedupPolicy::SumWeights => last.w += e.w,
-            DedupPolicy::KeepMax => last.w = last.w.max(e.w),
-            DedupPolicy::KeepAll => unreachable!(),
-        },
-        _ => out.push(*e),
-    };
-    if !parallel {
-        let mut out: Vec<Edge> = Vec::with_capacity(edges.len());
-        edges.iter().for_each(|e| merge_run(&mut out, e));
-        return out;
+/// Number of significant bits in `x` (`0` for `x = 0`).
+pub(crate) fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
+}
+
+/// Stable LSD radix sort of `items` by `key`, whose values must fit in
+/// `key_bits` bits.
+///
+/// Each pass is the builder's counting-sort scheme over one digit: per-chunk
+/// histograms, an exclusive prefix in (digit, chunk) order, then a disjoint
+/// parallel scatter. A stable sort has exactly one result, so the output
+/// never depends on the chunk count. Digits are at most 16 bits wide, and
+/// never much wider than `log2(len)`, so small inputs keep small
+/// histograms; a 32-bit key over a million items takes two passes, which
+/// measured faster than three 11-bit ones. Input already in key order
+/// (a graph rebuilt from its own CSR, say) is returned as is. The scatter
+/// target is the only scratch buffer.
+pub(crate) fn radix_sort_by_key<T, K>(
+    items: Vec<T>,
+    key_bits: u32,
+    key: K,
+    parallel: bool,
+) -> Vec<T>
+where
+    T: Copy + Send + Sync,
+    K: Fn(&T) -> u64 + Sync,
+{
+    let len = items.len();
+    let passes = key_bits.div_ceil(bits(len as u64).clamp(8, 16));
+    if passes == 0 || items.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+        return items;
     }
+    let digit_bits = key_bits.div_ceil(passes);
+    let radix = 1usize << digit_bits;
+    let chunks = if parallel {
+        chunk_count(len, MIN_CHUNK)
+    } else {
+        1
+    };
+    let ranges = chunk_ranges(len, chunks);
+    let mut src = items;
+    let mut dst: Vec<T> = Vec::with_capacity(len);
+    for pass in 0..passes {
+        let shift = pass * digit_bits;
+        let digit = |x: &T| ((key(x) >> shift) as usize) & (radix - 1);
+        let mut hists: Vec<Vec<usize>> = ranges
+            .par_iter()
+            .map(|r| {
+                let mut h = vec![0usize; radix];
+                for x in &src[r.clone()] {
+                    h[digit(x)] += 1;
+                }
+                h
+            })
+            .collect();
+        let mut next = 0;
+        for d in 0..radix {
+            for h in hists.iter_mut() {
+                let count = h[d];
+                h[d] = next;
+                next += count;
+            }
+        }
+        dst.clear();
+        {
+            let out = SharedWriter::new(&mut dst.spare_capacity_mut()[..len]);
+            ranges
+                .par_iter()
+                .zip(hists.par_iter_mut())
+                .for_each(|(r, cursor)| {
+                    for x in &src[r.clone()] {
+                        let c = &mut cursor[digit(x)];
+                        // SAFETY: the prefix sums give every (chunk, digit)
+                        // pair its own slots, covering `0..len` exactly once.
+                        unsafe { out.write(*c, std::mem::MaybeUninit::new(*x)) };
+                        *c += 1;
+                    }
+                });
+        }
+        // SAFETY: the scatter above initialized all `len` slots.
+        unsafe { dst.set_len(len) };
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
+}
+
+/// Merges runs of equal `(u, v)` in a `(u, v)`-sorted edge list according
+/// to `policy`, in place. Each run is first sorted by weight bits, so it
+/// folds in the order a `(u, v, w.to_bits())` sort would give. The list is
+/// split into run-aligned chunks (a chunk never starts mid-run, and the
+/// serial path has one chunk); each chunk merges at its own front, then the
+/// gaps close in chunk order — byte-identical to one serial scan.
+fn dedup_sorted(mut edges: Vec<Edge>, policy: DedupPolicy, parallel: bool) -> Vec<Edge> {
+    let same_pair = |a: &Edge, b: &Edge| a.u == b.u && a.v == b.v;
+    let merge_runs = |edges: &mut [Edge]| {
+        let mut kept = 0;
+        let mut i = 0;
+        while i < edges.len() {
+            let mut j = i + 1;
+            while j < edges.len() && same_pair(&edges[i], &edges[j]) {
+                j += 1;
+            }
+            let run = &mut edges[i..j];
+            run.sort_unstable_by_key(|e| e.w.to_bits());
+            let mut merged = run[0];
+            for e in &run[1..] {
+                match policy {
+                    DedupPolicy::SumWeights => merged.w += e.w,
+                    DedupPolicy::KeepMax => merged.w = merged.w.max(e.w),
+                    DedupPolicy::KeepAll => unreachable!(),
+                }
+            }
+            edges[kept] = merged;
+            kept += 1;
+            i = j;
+        }
+        kept
+    };
 
     // Align chunk starts to run boundaries so every (u, v) run is owned by
     // exactly one chunk.
-    let same_pair = |a: &Edge, b: &Edge| a.u == b.u && a.v == b.v;
+    let chunks = if parallel {
+        chunk_count(edges.len(), MIN_CHUNK)
+    } else {
+        1
+    };
     let mut starts: Vec<usize> = Vec::new();
-    for r in chunk_ranges(edges.len(), chunk_count(edges.len(), MIN_CHUNK)) {
+    for r in chunk_ranges(edges.len(), chunks) {
         let mut s = r.start;
         while s < edges.len() && s > 0 && same_pair(&edges[s - 1], &edges[s]) {
             s += 1;
@@ -175,23 +279,22 @@ fn dedup_sorted(edges: Vec<Edge>, policy: DedupPolicy, parallel: bool) -> Vec<Ed
             starts.push(s);
         }
     }
-    let mut bounds = starts.clone();
-    bounds.push(edges.len());
-    let merged: Vec<Vec<Edge>> = bounds
-        .windows(2)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|w| {
-            let mut out = Vec::with_capacity(w[1] - w[0]);
-            edges[w[0]..w[1]].iter().for_each(|e| merge_run(&mut out, e));
-            out
-        })
-        .collect();
-    let mut out = Vec::with_capacity(merged.iter().map(Vec::len).sum());
-    for part in merged {
-        out.extend_from_slice(&part);
+    let mut parts: Vec<&mut [Edge]> = Vec::with_capacity(starts.len());
+    let mut rest: &mut [Edge] = &mut edges;
+    for w in starts.windows(2) {
+        let (part, tail) = rest.split_at_mut(w[1] - w[0]);
+        parts.push(part);
+        rest = tail;
     }
-    out
+    parts.push(rest);
+    let kept: Vec<usize> = parts.into_par_iter().map(merge_runs).collect();
+    let mut len = 0;
+    for (&start, &k) in starts.iter().zip(&kept) {
+        edges.copy_within(start..start + k, len);
+        len += k;
+    }
+    edges.truncate(len);
+    edges
 }
 
 /// Two-pass parallel counting sort of canonical edges into CSR arrays.
@@ -287,6 +390,8 @@ pub fn from_pairs(n: usize, pairs: impl IntoIterator<Item = (VertexId, VertexId)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::with_threads;
+    use proptest::prelude::*;
 
     #[test]
     fn dedup_sums_weights() {
@@ -296,6 +401,18 @@ mod tests {
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0, 1), Some(3.5));
         assert_eq!(g.edge_weight(1, 0), Some(3.5));
+
+        // In f32, 2^24 + 1 rounds back to 2^24: only the order 1, 1, 2^24
+        // (ascending weight bits) reaches 2^24 + 2.
+        let big = (1u32 << 24) as f32;
+        let g = GraphBuilder::new(2)
+            .add_edges([
+                Edge::new(0, 1, big),
+                Edge::new(1, 0, 1.0),
+                Edge::new(0, 1, 1.0),
+            ])
+            .build();
+        assert_eq!(g.edge_weight(0, 1), Some(big + 2.0));
     }
 
     #[test]
@@ -362,5 +479,131 @@ mod tests {
     fn adjacency_is_sorted_after_build() {
         let g = from_pairs(5, [(0, 4), (0, 2), (0, 1), (0, 3)]);
         assert_eq!(g.neighbors(0), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn radix_sort_is_stable() {
+        let items: Vec<(u64, usize)> = (0..5000).map(|i| ((i as u64 * 7919) % 613, i)).collect();
+        let mut want = items.clone();
+        want.sort_by_key(|&(k, _)| k);
+        for key_bits in [10, 40] {
+            let sorted = radix_sort_by_key(items.clone(), key_bits, |&(k, _)| k, false);
+            assert_eq!(sorted, want);
+            assert_eq!(
+                radix_sort_by_key(sorted, key_bits, |&(k, _)| k, false),
+                want
+            );
+        }
+    }
+
+    /// The build before the radix sort: canonicalize, comparison-sort on
+    /// the total key `(u << 32 | v, w.to_bits())`, fold equal pairs
+    /// serially, counting-sort, then sort every row.
+    fn comparison_sort_build(n: usize, edges: &[Edge], policy: DedupPolicy) -> Csr {
+        let mut edges: Vec<Edge> = edges
+            .iter()
+            .map(|e| Edge::new(e.u.min(e.v), e.u.max(e.v), e.w))
+            .collect();
+        if policy != DedupPolicy::KeepAll {
+            edges.sort_unstable_by_key(|e| (((e.u as u64) << 32) | e.v as u64, e.w.to_bits()));
+            let mut out: Vec<Edge> = Vec::new();
+            for e in edges {
+                match out.last_mut() {
+                    Some(last) if last.u == e.u && last.v == e.v => match policy {
+                        DedupPolicy::SumWeights => last.w += e.w,
+                        _ => last.w = last.w.max(e.w),
+                    },
+                    _ => out.push(e),
+                }
+            }
+            edges = out;
+        }
+        let (xadj, adj, weights) = counting_sort_csr(n, &edges, false);
+        let mut g = Csr::from_raw(xadj, adj, weights);
+        g.sort_adjacency();
+        g
+    }
+
+    /// `len` staged edges over `n` vertices: each pair drawn about three
+    /// times in both orientations, with weights whose f32 sums depend on
+    /// the fold order (2^24 next to 1.0) and both signed zeros.
+    fn staged(n: usize, len: usize, seed: u64) -> Vec<Edge> {
+        let mix = |mut z: u64| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let weights = [1.0, 0.5, (1u32 << 24) as f32, 0.0, -0.0, 3.25];
+        let pairs = (len as u64 / 3).max(1);
+        (0..len as u64)
+            .map(|i| {
+                let h = mix(seed ^ mix(i % pairs));
+                let (u, v) = ((h % n as u64) as u32, ((h >> 32) % n as u64) as u32);
+                let w = weights[(mix(seed.wrapping_add(i)) % weights.len() as u64) as usize];
+                if i % 2 == 0 {
+                    Edge::new(u, v, w)
+                } else {
+                    Edge::new(v, u, w)
+                }
+            })
+            .collect()
+    }
+
+    fn assert_matches_comparison_sort(n: usize, edges: &[Edge], threads: usize) {
+        for policy in [
+            DedupPolicy::SumWeights,
+            DedupPolicy::KeepMax,
+            DedupPolicy::KeepAll,
+        ] {
+            let want = comparison_sort_build(n, edges, policy);
+            let got = with_threads(threads, || {
+                GraphBuilder::new(n)
+                    .dedup_policy(policy)
+                    .add_edges(edges.iter().copied())
+                    .build()
+            });
+            assert!(
+                got == want,
+                "n {n} len {} threads {threads} {policy:?}: radix build differs",
+                edges.len()
+            );
+        }
+    }
+
+    #[test]
+    fn radix_build_matches_comparison_sort_at_the_edges() {
+        let t = PARALLEL_THRESHOLD;
+        for n in [1usize, 5003] {
+            for len in [0, 1, t - 1, t, 2 * t + 4099] {
+                let mut edges = staged(n, len, 11);
+                for threads in [1usize, 2, 8] {
+                    assert_matches_comparison_sort(n, &edges, threads);
+                }
+                // Already in (u, v) order, weights within a pair not: the
+                // sort passes it through, the dedup still folds by weight bits.
+                edges
+                    .iter_mut()
+                    .for_each(|e| (e.u, e.v) = (e.u.min(e.v), e.u.max(e.v)));
+                edges.sort_by_key(|e| (e.u, e.v));
+                assert_matches_comparison_sort(n, &edges, 2);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Any vertex count (powers of two or not), any size on either side
+        /// of the parallel threshold, any pool: the radix build produces the
+        /// bytes the comparison sort did, for every dedup policy.
+        #[test]
+        fn radix_build_matches_comparison_sort(
+            n in 1usize..70_000,
+            len in 0usize..(3 * PARALLEL_THRESHOLD),
+            seed in any::<u64>(),
+            threads_i in 0usize..3,
+        ) {
+            assert_matches_comparison_sort(n, &staged(n, len, seed), [1, 2, 8][threads_i]);
+        }
     }
 }

@@ -42,18 +42,19 @@ pub fn preferential_attachment(n: usize, m_attach: usize, seed: u64) -> Csr {
     }
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    // The newcomer's distinct choices, kept sorted so `targets` grows in a
+    // deterministic order; reused across newcomers.
+    let mut chosen: Vec<u32> = Vec::with_capacity(m_attach);
     for u in (m_attach as u32 + 1)..(n as u32) {
         // One independent stream per newcomer.
         rng.set_stream(u as u64);
-        let mut chosen = std::collections::HashSet::with_capacity(m_attach);
+        chosen.clear();
         while chosen.len() < m_attach {
             let v = targets[rng.gen_range(0..targets.len())];
-            chosen.insert(v);
+            if let Err(slot) = chosen.binary_search(&v) {
+                chosen.insert(slot, v);
+            }
         }
-        // Sort so `targets` grows in a deterministic order; HashSet iteration
-        // order would otherwise leak into subsequent degree-biased draws.
-        let mut chosen: Vec<u32> = chosen.into_iter().collect();
-        chosen.sort_unstable();
         for &v in &chosen {
             builder.add_edge(Edge::unweighted(u, v));
             targets.push(u);

@@ -4,20 +4,24 @@
 //! ## Parallel sampling with fixed RNG streams
 //!
 //! Candidate pairs are drawn in fixed blocks of [`SAMPLE_CHUNK`], one
-//! independent `ChaCha8Rng` stream per block (`set_stream(block_index)`),
-//! then deduplicated serially in block order — first occurrence wins, so the
-//! retained edge set is a pure function of `(n, m, seed)` regardless of how
-//! many threads sampled the blocks. A serial top-up pass on a dedicated
-//! stream (`u64::MAX`) replaces any candidates lost to duplication, keeping
-//! the exact-`m` contract of the original rejection sampler.
+//! independent `ChaCha8Rng` stream per block (`set_stream(block_index)`).
+//! The sampled pairs are radix-sorted and deduplicated, so the retained
+//! edge set — every distinct pair sampled — is a pure function of
+//! `(n, m, seed)` regardless of how many threads sampled the blocks. A
+//! serial top-up pass on a dedicated stream (`u64::MAX`) replaces the
+//! candidates lost to duplicates: it accepts each new pair that is neither
+//! among the sorted samples nor among the pairs it already accepted, until
+//! `m` edges exist — the exact-`m` contract of the original rejection
+//! sampler.
 
 use super::rmat::SAMPLE_CHUNK;
-use crate::builder::{DedupPolicy, GraphBuilder};
+use crate::builder::{bits, radix_sort_by_key, DedupPolicy, GraphBuilder, PARALLEL_THRESHOLD};
 use crate::csr::Csr;
 use crate::Edge;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
+use std::collections::BTreeSet;
 
 /// An undirected G(n, m) random graph (m distinct non-loop edges), sampled
 /// by rejection; deterministic per seed *and thread count*. `m` must be
@@ -27,60 +31,56 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Csr {
     let max_m = n.saturating_mul(n.saturating_sub(1)) / 2;
     assert!(m <= max_m, "m = {m} exceeds the {max_m} possible edges");
 
-    let mut builder = GraphBuilder::new(n).dedup_policy(DedupPolicy::KeepMax);
-    let mut seen = std::collections::HashSet::with_capacity(m * 2);
+    // Canonical pair `u < v` as one key, ordered like `(u, v)`.
+    let b = bits(n.saturating_sub(1) as u64);
+    let key = |u: u32, v: u32| ((u.min(v) as u64) << b) | u.max(v) as u64;
 
-    if m > 0 {
-        // Parallel phase: sample `m` canonical non-loop pairs in fixed-size
-        // blocks, one RNG stream each. Block layout depends only on `m`.
-        let blocks = m.div_ceil(SAMPLE_CHUNK);
-        let sampled: Vec<Vec<(u32, u32)>> = (0..blocks)
-            .into_par_iter()
-            .map(|block| {
-                let quota = SAMPLE_CHUNK.min(m - block * SAMPLE_CHUNK);
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                rng.set_stream(block as u64);
-                let mut out = Vec::with_capacity(quota);
-                while out.len() < quota {
-                    let u = rng.gen_range(0..n as u32);
-                    let v = rng.gen_range(0..n as u32);
-                    if u != v {
-                        out.push(if u < v { (u, v) } else { (v, u) });
-                    }
+    // Parallel phase: sample `m` canonical non-loop pairs in fixed-size
+    // blocks, one RNG stream each. Block layout depends only on `m`.
+    let sampled: Vec<Vec<u64>> = (0..m.div_ceil(SAMPLE_CHUNK))
+        .into_par_iter()
+        .map(|block| {
+            let quota = SAMPLE_CHUNK.min(m - block * SAMPLE_CHUNK);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_stream(block as u64);
+            let mut out = Vec::with_capacity(quota);
+            while out.len() < quota {
+                let u = rng.gen_range(0..n as u32);
+                let v = rng.gen_range(0..n as u32);
+                if u != v {
+                    out.push(key(u, v));
                 }
-                out
-            })
-            .collect();
-
-        // Serial dedup in block order: first occurrence wins.
-        for key in sampled.into_iter().flatten() {
-            if seen.len() == m {
-                break;
             }
-            if seen.insert(key) {
-                builder.add_edge(Edge::unweighted(key.0, key.1));
-            }
-        }
-    }
+            out
+        })
+        .collect();
+    let mut keys = radix_sort_by_key(sampled.concat(), 2 * b, |&k| k, m >= PARALLEL_THRESHOLD);
+    keys.dedup();
 
     // Serial top-up on a reserved stream to restore the exact-m contract
     // (block sampling can lose candidates to cross-block duplicates).
-    if seen.len() < m {
+    let mut extra = BTreeSet::new();
+    if keys.len() < m {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         rng.set_stream(u64::MAX);
-        while seen.len() < m {
+        while keys.len() + extra.len() < m {
             let u = rng.gen_range(0..n as u32);
             let v = rng.gen_range(0..n as u32);
             if u == v {
                 continue;
             }
-            let key = if u < v { (u, v) } else { (v, u) };
-            if seen.insert(key) {
-                builder.add_edge(Edge::unweighted(key.0, key.1));
+            let k = key(u, v);
+            if keys.binary_search(&k).is_err() {
+                extra.insert(k);
             }
         }
     }
-    builder.build()
+    let mask = (1u64 << b) - 1;
+    let edge = |k: u64| Edge::unweighted((k >> b) as u32, (k & mask) as u32);
+    GraphBuilder::new(n)
+        .dedup_policy(DedupPolicy::KeepMax)
+        .add_edges(keys.into_iter().chain(extra).map(edge))
+        .build()
 }
 
 #[cfg(test)]

@@ -113,37 +113,58 @@ impl RmatConfig {
     }
 }
 
+/// Quadrant bits of one recursion level, branch-free. `lt[i]` says the
+/// quadrant draw fell below the `i`-th cumulative threshold (`a`, `a+b`,
+/// `a+b+c`); the first threshold it falls below picks the quadrant, so `u`
+/// gets a bit in quadrants c and d, `v` in quadrants b and d. Exact for any
+/// thresholds, ordered or not.
+#[inline(always)]
+fn quadrant(lt: [bool; 3]) -> (u32, u32) {
+    let u = !(lt[0] | lt[1]);
+    let v = !lt[0] & (lt[1] | !lt[2]);
+    (u as u32, v as u32)
+}
+
 /// Samples one edge endpoint pair.
-fn sample_edge(cfg: &RmatConfig, rng: &mut impl Rng) -> (u32, u32) {
+///
+/// Each level's quadrant draw is one `f64` `r = k · 2^-53` (`k = next_u64() >> 11`),
+/// compared with the cumulative thresholds. Without noise the thresholds
+/// are fixed, so the compares run on `k` against `ceil(t · 2^53)`:
+/// `k · 2^-53 < t` holds exactly when `k < ceil(t · 2^53)`, since both
+/// scalings by `2^53` are exact. Same draws, same edges as `f64` compares.
+fn sample_edge(cfg: &RmatConfig, fixed: &[u64; 3], rng: &mut impl Rng) -> (u32, u32) {
     let mut u = 0u32;
     let mut v = 0u32;
-    for level in 0..cfg.scale {
-        let (mut a, mut b, mut c) = (cfg.a, cfg.b, cfg.c);
-        if cfg.noise > 0.0 {
+    let mut descend = |(bu, bv): (u32, u32)| {
+        u = (u << 1) | bu;
+        v = (v << 1) | bv;
+    };
+    if cfg.noise > 0.0 {
+        for _ in 0..cfg.scale {
             // Multiplicative noise per level, renormalized.
-            let na = a * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
-            let nb = b * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
-            let nc = c * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
+            let na = cfg.a * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
+            let nb = cfg.b * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
+            let nc = cfg.c * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
             let nd = cfg.d * (1.0 - cfg.noise + 2.0 * cfg.noise * rng.gen::<f64>());
             let s = na + nb + nc + nd;
-            a = na / s;
-            b = nb / s;
-            c = nc / s;
+            let (a, b, c) = (na / s, nb / s, nc / s);
+            let r: f64 = rng.gen();
+            descend(quadrant([r < a, r < a + b, r < a + b + c]));
         }
-        let r: f64 = rng.gen();
-        let bit = 1u32 << (cfg.scale - 1 - level);
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
+    } else {
+        for _ in 0..cfg.scale {
+            let k = rng.next_u64() >> 11;
+            descend(quadrant([k < fixed[0], k < fixed[1], k < fixed[2]]));
         }
     }
     (u, v)
+}
+
+/// The noise-free cumulative thresholds `a`, `a+b`, `a+b+c` (summed as
+/// `f64`, left to right), scaled to integer draws: `ceil(t · 2^53)`.
+fn fixed_thresholds(cfg: &RmatConfig) -> [u64; 3] {
+    let scale = (1u64 << 53) as f64;
+    [cfg.a, cfg.a + cfg.b, cfg.a + cfg.b + cfg.c].map(|t| (t * scale).ceil() as u64)
 }
 
 /// Generates an undirected R-MAT graph.
@@ -169,6 +190,7 @@ pub fn rmat(cfg: RmatConfig) -> Csr {
     let target = n * cfg.edge_factor as usize;
     let blocks = sample_block_count(&cfg);
     let quota = |block: usize| SAMPLE_CHUNK.min(target - block * SAMPLE_CHUNK);
+    let fixed = fixed_thresholds(&cfg);
 
     // One task per worker, each owning a contiguous block range balanced by
     // sample quota — the tail block can be nearly empty, so splitting by
@@ -183,7 +205,7 @@ pub fn rmat(cfg: RmatConfig) -> Csr {
                 let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
                 rng.set_stream(block as u64);
                 for _ in 0..quota(block) {
-                    let (u, v) = sample_edge(&cfg, &mut rng);
+                    let (u, v) = sample_edge(&cfg, &fixed, &mut rng);
                     if u != v {
                         out.push(Edge::unweighted(u, v));
                     }
@@ -311,6 +333,60 @@ mod tests {
         let g1 = rmat(RmatConfig::new(8, 4).with_noise(0.1));
         let g2 = rmat(RmatConfig::new(8, 4).with_noise(0.1));
         assert_eq!(g1, g2);
+    }
+
+    /// The if/else chain `quadrant` replaces.
+    fn quadrant_branchy(r: f64, t: [f64; 3]) -> (u32, u32) {
+        if r < t[0] {
+            (0, 0)
+        } else if r < t[1] {
+            (0, 1)
+        } else if r < t[2] {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn quadrant_matches_the_branch_chain_for_any_thresholds() {
+        let grid = [-0.5, 0.0, 0.2, 0.5, 0.7, 1.0, 1.5];
+        for t0 in grid {
+            for t1 in grid {
+                for t2 in grid {
+                    for r in grid {
+                        let t = [t0, t1, t2];
+                        let lt = [r < t0, r < t1, r < t2];
+                        assert_eq!(quadrant(lt), quadrant_branchy(r, t), "r {r} t {t:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_match_f64_compares_at_the_boundaries() {
+        let scale = (1u64 << 53) as f64;
+        for (a, b, c, d) in TABLE2_DISTRIBUTIONS
+            .into_iter()
+            .chain([(0.57, 0.19, 0.19, 0.05)])
+        {
+            let cfg = RmatConfig::new(4, 1).with_probabilities(a, b, c, d);
+            let fixed = fixed_thresholds(&cfg);
+            let t = [a, a + b, a + b + c];
+            for (i, &f) in fixed.iter().enumerate() {
+                for k in [f - 2, f - 1, f, f + 1] {
+                    // How `Rng::gen::<f64>` turns the draw into `r`.
+                    let r = k as f64 * (1.0 / scale);
+                    assert_eq!(
+                        k < f,
+                        r < t[i],
+                        "threshold {i} of {:?}, k {k}",
+                        (a, b, c, d)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Classes of machine operations the models distinguish.
 ///
@@ -149,14 +150,22 @@ pub fn snapshot() -> OpCounts {
 /// assert_eq!(counts.get(OpClass::Conflict), 1);
 /// ```
 ///
-/// Not reentrant: the counters are global, so nested or concurrent counted
-/// *runs* interleave (concurrent counted *threads inside one run* are fine —
-/// that is the point of the atomics).
+/// The counters are global, so counted *runs* are serialized process-wide:
+/// a second run waits instead of resetting the first one's counts halfway
+/// (concurrent counted *threads inside one run* are fine — that is the
+/// point of the atomics). Not reentrant: a nested counted run deadlocks.
+/// Ops recorded outside any counted run still land in the open one.
 pub fn counted_run<R>(f: impl FnOnce() -> R) -> (R, OpCounts) {
+    // A run that panicked leaves nothing to repair: the lock guards no
+    // data, and the next run resets the counters.
+    let _serial = RUN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     reset();
     let r = f();
     (r, snapshot())
 }
+
+/// Held for the whole of each [`counted_run`].
+static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// An immutable snapshot of operation counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
