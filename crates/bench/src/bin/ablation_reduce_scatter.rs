@@ -6,6 +6,12 @@
 //! that claim: the raw reduce-scatter primitive is driven with index
 //! vectors of controlled duplicate density, and each strategy's modeled
 //! cycles and measured wall time are reported per regime.
+//!
+//! The modeled cycles come from `Counted<Emulated>` and are deterministic,
+//! so the binary checks the claim and exits nonzero unless conflict
+//! detection beats in-vector reduction at 16 distinct, in-vector reduction
+//! beats conflict detection at 1 distinct, and the iterative formulation is
+//! never cheaper than the one-shot one.
 
 use gp_bench::harness::{print_header, BenchContext};
 use gp_core::reduce_scatter::{reduce_scatter, Strategy};
@@ -19,6 +25,10 @@ use gp_simd::engine::Engine;
 use gp_simd::vector::{Mask16, LANES};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
+
+/// Distinct communities per 16-lane vector, early phase first.
+const DENSITIES: [usize; 5] = [16, 8, 4, 2, 1];
 
 /// Builds index vectors with the given number of distinct values per
 /// vector — 16 models the early phase, 1 the converged phase.
@@ -63,7 +73,8 @@ fn main() {
             "vs scalar (CLX)",
         ],
     );
-    for distinct in [16usize, 8, 4, 2, 1] {
+    let mut modeled = HashMap::new();
+    for distinct in DENSITIES {
         let batches = index_batches(distinct, batches_n, acc_len as i32, distinct as u64);
         // Baseline modeled cycles: the scalar strategy.
         let (_, scalar_counts) = counters::counted_run(|| {
@@ -92,6 +103,7 @@ fn main() {
                 run_batches(&s, strategy, &batches, &mut acc);
             });
             let cycles = CASCADE_LAKE.cycles(&counts);
+            modeled.insert((distinct, strategy.name()), cycles);
             table.row(&[
                 distinct.to_string(),
                 strategy.name().to_string(),
@@ -102,7 +114,37 @@ fn main() {
         }
     }
     ctx.emit(&table);
+
+    let cycles = |distinct: usize, strategy: Strategy| modeled[&(distinct, strategy.name())];
+    let (cd, iter, ivr) = (
+        Strategy::ConflictDetect,
+        Strategy::ConflictIterative,
+        Strategy::InVectorReduce,
+    );
+    let mut failed = Vec::new();
+    if cycles(16, cd) >= cycles(16, ivr) {
+        failed.push("conflict-detect does not beat in-vector-reduce at 16 distinct".to_string());
+    }
+    if cycles(1, ivr) >= cycles(1, cd) {
+        failed.push("in-vector-reduce does not beat conflict-detect at 1 distinct".to_string());
+    }
+    for distinct in DENSITIES {
+        if cycles(distinct, iter) < cycles(distinct, cd) {
+            failed.push(format!(
+                "conflict-iterative beats conflict-detect at {distinct} distinct"
+            ));
+        }
+    }
+    if !failed.is_empty() {
+        for f in &failed {
+            eprintln!("CHECK FAILED: {f} (CLX modeled cycles)");
+        }
+        std::process::exit(1);
+    }
     if !ctx.csv {
-        println!("\nexpected: conflict-detect wins at 16 distinct; in-vector-reduce wins at 1");
+        println!(
+            "\ncheck OK: conflict-detect wins at 16 distinct; in-vector-reduce wins at 1; \
+             conflict-iterative never beats conflict-detect"
+        );
     }
 }

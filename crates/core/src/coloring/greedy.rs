@@ -7,7 +7,7 @@
 //! standard stamp trick so the array is never cleared between vertices.
 
 use super::{ColoringConfig, ColoringResult};
-use crate::frontier::{slice_chunked, SweepMode};
+use crate::frontier::SweepMode;
 use crate::locality::{self, Plan, LOW_MAX_DEGREE};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{NoopRecorder, Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
@@ -230,8 +230,8 @@ pub(crate) fn run_iterative<R: Recorder>(
 /// `AssignColors` runs through [`locality::slice_blocked`] — the conflict
 /// set is cut at cache-block boundaries from the run's locality [`Plan`],
 /// which each `assign` kernel also receives to route vertices by degree
-/// bucket. `DetectConflicts` keeps the plain [`slice_chunked`] scan (it
-/// streams adjacency once; blocking buys nothing there). Either way a
+/// bucket. `DetectConflicts` runs through the same function unblocked
+/// (it streams adjacency once; blocking buys nothing there). Either way a
 /// [`Recorder`] that can fire deadlines is polled every few thousand
 /// vertices *within* a round rather than only at round boundaries.
 pub(crate) fn run_iterative_with_detect<R: Recorder>(
@@ -310,7 +310,7 @@ pub(crate) fn run_iterative_with_detect<R: Recorder>(
                 SweepMode::Full => &all,
             };
             let mut newconf: Vec<u32> = Vec::new();
-            bailed = slice_chunked(scan, rec, |sub| {
+            bailed = locality::slice_blocked(scan, usize::MAX, rec, |sub| {
                 newconf.extend(detect(g, &colors, sub, config));
             });
             if R::CHECKS_DEADLINE {

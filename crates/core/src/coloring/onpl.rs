@@ -12,34 +12,12 @@
 use super::greedy::{run_iterative, run_iterative_with_detect, sweep_assign};
 use super::{ColoringConfig, ColoringResult};
 use crate::locality::Plan;
+use crate::reduce_scatter::{as_i32, atomic_as_i32};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::Recorder;
 use gp_simd::backend::Simd;
 use gp_simd::vector::LANES;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Reinterprets a `u32` slice as `i32` (identical layout); vertex ids and
-/// colors stay below 2^31.
-#[inline(always)]
-pub(crate) fn as_i32(s: &[u32]) -> &[i32] {
-    // SAFETY: u32 and i32 have identical size and alignment.
-    unsafe { std::slice::from_raw_parts(s.as_ptr() as *const i32, s.len()) }
-}
-
-/// Reinterprets the atomic color array as a plain `i32` slice for vector
-/// gathers.
-///
-/// The speculative algorithm reads neighbor colors while other threads may
-/// be writing them; Algorithm 1's correctness does not depend on which value
-/// a racy read returns (any stale read is caught by `DetectConflicts`).
-/// This is exactly the data race the original Kokkos implementation relies
-/// on; we confine it to this cast.
-#[inline(always)]
-fn colors_as_i32(colors: &[AtomicU32]) -> &[i32] {
-    // SAFETY: AtomicU32 is repr(transparent) over u32; see doc comment for
-    // the benign-race argument.
-    unsafe { std::slice::from_raw_parts(colors.as_ptr() as *const i32, colors.len()) }
-}
 
 /// Per-thread vector workspace.
 struct VecWorkspace {
@@ -74,7 +52,7 @@ fn assign_one_onpl<S: Simd>(
     }
     let stamp_v = s.splat_i32(ws.stamp);
     let self_v = s.splat_i32(v as i32);
-    let colors_view = colors_as_i32(colors);
+    let colors_view = atomic_as_i32(colors);
 
     let neighbors = as_i32(g.neighbors(v));
     let mut off = 0;
@@ -140,7 +118,7 @@ pub fn detect_conflicts_onpl<S: Simd + Sync>(
     conf: &[u32],
     config: &ColoringConfig,
 ) -> Vec<u32> {
-    let view = colors_as_i32(colors);
+    let view = atomic_as_i32(colors);
     let find = |&v: &u32| -> Option<u32> {
         s.vectorize(|| {
             let cv = colors[v as usize].load(Ordering::Relaxed) as i32;

@@ -10,7 +10,7 @@
 //! partitioning kernels are the ones that reward Cascade Lake's scatter
 //! hardware.
 
-use crate::coloring::onpl::as_i32;
+use crate::reduce_scatter::as_i32;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{RunInfo, RunTimer};
 use gp_simd::backend::Simd;

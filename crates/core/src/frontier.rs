@@ -25,10 +25,12 @@
 //!   overshoot its deadline unbounded. Under plain recorders the chunking
 //!   collapses to a single full-length chunk and compiles away.
 
+use crate::locality::fan_out_units;
 use gp_metrics::telemetry::Recorder;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// How a kernel enumerates the vertices it processes each round.
 ///
@@ -252,7 +254,15 @@ where
     if parallel {
         let pool = gp_par::current();
         if !pool.is_inline() {
-            return fan_out_chunks(len, chunk, &pool, rec, &make_buf, &process);
+            let chunks: Vec<Range<usize>> = (0..len)
+                .step_by(chunk)
+                .map(|s| s..(s + chunk).min(len))
+                .collect();
+            return fan_out_units(&chunks, &pool, rec, &make_buf, |buf, c| {
+                for i in c.clone() {
+                    process(buf, i);
+                }
+            });
         }
     }
     let mut start = 0usize;
@@ -272,106 +282,6 @@ where
                 process(b, i);
             }
         }
-        start = end;
-    }
-    false
-}
-
-/// The real-pool arm of [`run_chunked`]: fans `len.div_ceil(chunk)` chunks
-/// out across `pool`'s workers plus the calling thread via an atomic chunk
-/// cursor. The caller is the only thread that touches `rec` (so `R` needs
-/// no `Sync`); it polls between its own chunks and raises `stop` for the
-/// others. Returns `true` if the sweep bailed before covering `0..len`.
-fn fan_out_chunks<R, B>(
-    len: usize,
-    chunk: usize,
-    pool: &gp_par::Pool,
-    rec: &R,
-    make_buf: &(impl Fn() -> B + Send + Sync),
-    process: &(impl Fn(&mut B, usize) + Send + Sync),
-) -> bool
-where
-    R: Recorder,
-    B: Send,
-{
-    if len == 0 {
-        return false;
-    }
-    let nchunks = len.div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let run_chunk = |buf: &mut B, c: usize| {
-        let start = c * chunk;
-        let end = (start + chunk).min(len);
-        for i in start..end {
-            process(buf, i);
-        }
-    };
-    pool.scope(|s| {
-        for _ in 0..pool.threads() {
-            s.spawn(|| {
-                let mut buf = make_buf();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= nchunks {
-                        break;
-                    }
-                    run_chunk(&mut buf, c);
-                }
-            });
-        }
-        // The calling thread sweeps too — and is the only one allowed to
-        // touch `rec`. Its first claimed chunk always runs (progress
-        // guarantee mirrors the sequential path); the poll happens before
-        // every later claim.
-        let mut buf: Option<B> = None;
-        let mut claimed = 0usize;
-        loop {
-            if R::CHECKS_DEADLINE && claimed > 0 && rec.should_stop() {
-                stop.store(true, Ordering::Relaxed);
-                break;
-            }
-            if stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            if c >= nchunks {
-                break;
-            }
-            run_chunk(buf.get_or_insert_with(make_buf), c);
-            claimed += 1;
-        }
-    });
-    stop.load(Ordering::Relaxed)
-}
-
-/// Variant of [`run_chunked`] for kernels that consume worklist *slices*
-/// (the coloring assign/detect kernels): calls `f` on consecutive subslices
-/// of `items`, polling the deadline between them. Returns `true` if it
-/// bailed before covering the whole slice.
-///
-/// The *outer* chunk loop is deliberately sequential: `f` is `FnMut` and
-/// the call sites mutate captured state (e.g. `newconf.extend(detect(..))`
-/// in the coloring driver). Worker fan-out happens one level down — the
-/// assign/detect kernels invoked inside `f` run `par_iter` sweeps over each
-/// subslice, which the rayon shim fans out across the current `gp_par`
-/// pool. Deadline polls therefore stay single-threaded and exact.
-pub fn slice_chunked<R: Recorder, T>(
-    items: &[T],
-    rec: &R,
-    mut f: impl FnMut(&[T]),
-) -> bool {
-    let chunk = chunk_len::<R>(items.len());
-    let mut start = 0usize;
-    while start < items.len() {
-        if R::CHECKS_DEADLINE && start > 0 && rec.should_stop() {
-            return true;
-        }
-        let end = (start + chunk).min(items.len());
-        f(&items[start..end]);
         start = end;
     }
     false
@@ -584,18 +494,5 @@ mod tests {
             v < total as u64,
             "deadline bail should not have covered the full range"
         );
-    }
-
-    #[test]
-    fn slice_chunked_covers_slice_and_bails_on_deadline() {
-        let items: Vec<u32> = (0..(2 * DEADLINE_CHUNK as u32 + 7)).collect();
-        let mut seen = Vec::new();
-        assert!(!slice_chunked(&items, &NoopRecorder, |sub| seen.extend_from_slice(sub)));
-        assert_eq!(seen, items);
-
-        let rec = DeadlineRecorder::new(NoopRecorder, Instant::now() - Duration::from_millis(1));
-        let mut seen = Vec::new();
-        assert!(slice_chunked(&items, &rec, |sub| seen.extend_from_slice(sub)));
-        assert_eq!(seen.len(), DEADLINE_CHUNK);
     }
 }

@@ -14,7 +14,7 @@ pub mod onlp;
 
 use crate::frontier::{Frontier, SweepMode};
 use crate::locality::{self, Blocking, Bucketing, Plan};
-use crate::louvain::mplm::AffinityBuf;
+use crate::reduce_scatter::AffinityBuf;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
 use gp_simd::counters;

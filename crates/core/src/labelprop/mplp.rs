@@ -6,7 +6,7 @@
 //! touched-list reset).
 
 use super::{run_lp_sweeps, LabelPropConfig, LabelPropResult};
-use crate::louvain::mplm::AffinityBuf;
+use crate::reduce_scatter::AffinityBuf;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::Recorder;
 #[cfg(test)]
@@ -26,15 +26,10 @@ pub(crate) fn best_label_scalar(
 ) -> Option<u32> {
     let mut any = false;
     for (v, w) in g.edges_of(u) {
-        if v == u {
-            continue;
+        if v != u {
+            buf.add(labels[v as usize].load(Ordering::Relaxed), w);
+            any = true;
         }
-        let l = labels[v as usize].load(Ordering::Relaxed);
-        if buf.aff[l as usize] == 0.0 {
-            buf.touched.push(l);
-        }
-        buf.aff[l as usize] += w;
-        any = true;
     }
     if !any {
         return None;

@@ -8,10 +8,7 @@
 //! max-scan over the touched labels.
 
 use super::{run_lp_sweeps, LabelPropConfig, LabelPropResult};
-use crate::coloring::onpl::as_i32;
-use crate::louvain::mplm::AffinityBuf;
-use crate::reduce_scatter::Strategy;
-use crate::vector_affinity::accumulate;
+use crate::reduce_scatter::{accumulate, as_i32, atomic_as_i32, AffinityBuf, Strategy};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::Recorder;
 #[cfg(test)]
@@ -19,14 +16,6 @@ use gp_metrics::telemetry::NoopRecorder;
 use gp_simd::backend::Simd;
 use gp_simd::vector::LANES;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Views the atomic label array as gatherable `i32`s (the same benign-race
-/// pattern as the other optimistic kernels).
-#[inline(always)]
-fn labels_view(labels: &[AtomicU32]) -> &[i32] {
-    // SAFETY: AtomicU32 is repr(transparent) over u32.
-    unsafe { std::slice::from_raw_parts(labels.as_ptr() as *const i32, labels.len()) }
-}
 
 /// Vectorized heaviest-label selection for `u`; `None` if no non-loop
 /// neighbor exists.
@@ -38,20 +27,8 @@ fn best_label_onlp<S: Simd>(
     u: u32,
     buf: &mut AffinityBuf,
 ) -> Option<u32> {
-    let neighbors = as_i32(g.neighbors(u));
-    let weights = g.weights_of(u);
-    let view = labels_view(labels);
-
     // Label-weight accumulation: gather labels, reduce-scatter weights.
-    accumulate(
-        s,
-        neighbors,
-        weights,
-        u,
-        view,
-        Strategy::ConflictDetect,
-        buf,
-    );
+    accumulate(s, g, u, atomic_as_i32(labels), Strategy::ConflictDetect, buf);
     if buf.touched.is_empty() {
         return None;
     }

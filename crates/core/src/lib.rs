@@ -7,7 +7,9 @@
 //!   (Algorithms 1–3), scalar and ONPL-vectorized `AssignColors`;
 //! * [`reduce_scatter`] — the reduce-scatter primitive at the heart of the
 //!   ONPL kernels, in both of the paper's formulations (conflict detection
-//!   via `vpconflictd`, and in-vector reduction via masked reduce-add);
+//!   via `vpconflictd`, and in-vector reduction via masked reduce-add), and
+//!   the one neighborhood aggregation that ONPL Louvain, ONLP, partition
+//!   refinement, SLPA and [`neighborhood`] all run;
 //! * [`louvain`] — the Louvain method move phase in four variants: PLM
 //!   (NetworKit-style, with its per-vertex allocation behavior), MPLM (the
 //!   memory-fixed scalar baseline), ONPL (one neighbor per lane), OVPL (one
@@ -37,7 +39,6 @@ pub mod partition;
 pub mod pipeline;
 pub mod quality;
 pub mod reduce_scatter;
-pub(crate) mod vector_affinity;
 
 /// Community/label assignment: `zeta[u]` is the community of vertex `u`.
 pub type Communities = Vec<u32>;

@@ -507,11 +507,13 @@ where
     false
 }
 
-/// Fans `units` across the current pool's workers plus the calling thread
-/// via an atomic cursor — the unit-list generalization of the frontier
-/// executor's chunk fan-out. Only the caller touches `rec` (no `R: Sync`);
-/// it polls between its own units and raises `stop` for the others.
-fn fan_out_units<R, B>(
+/// Fans `units` across `pool`'s workers plus the calling thread via an
+/// atomic cursor: the real-pool arm of both [`run_sweep`] and
+/// [`crate::frontier::run_chunked`]. Only the caller touches `rec` (no
+/// `R: Sync`); its first claimed unit always runs, it polls between its
+/// own units and raises `stop` for the others. Returns `true` if the sweep
+/// bailed before covering every unit.
+pub(crate) fn fan_out_units<R, B>(
     units: &[Range<usize>],
     pool: &gp_par::Pool,
     rec: &R,
@@ -564,10 +566,16 @@ where
     stop.load(Ordering::Relaxed)
 }
 
-/// Block-bounded [`crate::frontier::slice_chunked`]: cuts `items` at block
-/// boundaries (and at [`DEADLINE_CHUNK`] under a deadline-checking
-/// recorder) and hands each block to `f` in order, polling the deadline
-/// between blocks. Returns `true` on an early bail.
+/// Calls `f` on consecutive subslices of `items`, cut at block boundaries
+/// (and at [`DEADLINE_CHUNK`] under a deadline-checking recorder), polling
+/// the deadline between them. `block = usize::MAX` gives the unblocked
+/// scan: one slice, or [`DEADLINE_CHUNK`]-sized ones. Returns `true` if it
+/// bailed before covering the whole slice.
+///
+/// The loop is deliberately sequential: `f` is `FnMut` and the call sites
+/// mutate captured state (the coloring round loop's `newconf.extend(..)`).
+/// Worker fan-out happens one level down, in the `par_iter` sweeps the
+/// kernels run over each subslice, so deadline polls stay exact.
 pub(crate) fn slice_blocked<R: Recorder, T>(
     items: &[T],
     block: usize,
@@ -596,8 +604,9 @@ pub(crate) fn slice_blocked<R: Recorder, T>(
 mod tests {
     use super::*;
     use gp_graph::generators::{erdos_renyi, star};
-    use gp_metrics::telemetry::NoopRecorder;
+    use gp_metrics::telemetry::{DeadlineRecorder, NoopRecorder};
     use std::sync::atomic::AtomicU64;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn blocking_roundtrips_strings() {
@@ -748,6 +757,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slice_blocked_covers_slice_and_bails_on_deadline() {
+        let items: Vec<u32> = (0..(2 * DEADLINE_CHUNK as u32 + 7)).collect();
+        let mut seen = Vec::new();
+        assert!(!slice_blocked(&items, usize::MAX, &NoopRecorder, |sub| {
+            seen.extend_from_slice(sub)
+        }));
+        assert_eq!(seen, items);
+
+        let rec = DeadlineRecorder::new(NoopRecorder, Instant::now() - Duration::from_millis(1));
+        let mut seen = Vec::new();
+        assert!(slice_blocked(&items, usize::MAX, &rec, |sub| seen.extend_from_slice(sub)));
+        assert_eq!(seen.len(), DEADLINE_CHUNK);
     }
 
     #[test]

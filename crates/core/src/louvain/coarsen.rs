@@ -20,14 +20,14 @@
 //!    disjoint parallel scatter — members end up in ascending fine order);
 //! 3. **Aggregate** one coarse row per coarse vertex in parallel, using a
 //!    dense `f64` accumulator indexed by coarse neighbor id (the same
-//!    touched-list idiom as `mplm`'s `AffinityBuf`). Every row depends only
-//!    on its own members, so the pass is embarrassingly parallel *and*
-//!    schedule-invariant: member order and adjacency order fix the
-//!    accumulation order regardless of thread count. Rows are scheduled as
-//!    contiguous ranges balanced by *arc count* (`chunk_ranges_weighted`),
-//!    not row count, so a giant late-stage community lands in a range of its
-//!    own instead of serializing whichever worker drew it plus its
-//!    neighbors in an even split.
+//!    touched-list idiom as `reduce_scatter::AffinityBuf`). Every row
+//!    depends only on its own members, so the pass is embarrassingly
+//!    parallel *and* schedule-invariant: member order and adjacency order
+//!    fix the accumulation order regardless of thread count. Rows are
+//!    scheduled as contiguous ranges balanced by *arc count*
+//!    (`chunk_ranges_weighted`), not row count, so a giant late-stage
+//!    community lands in a range of its own instead of serializing
+//!    whichever worker drew it plus its neighbors in an even split.
 //!
 //! Intra-community arcs between distinct members are seen twice (once from
 //! each endpoint), so the self-loop weight is `fine_self + intra_arcs / 2` —
@@ -156,8 +156,8 @@ fn bucket_members(cz: &[u32], num_coarse: usize, parallel: bool) -> (Vec<u32>, V
     (offsets, members)
 }
 
-/// Dense scratch accumulator for one coarse row (the `AffinityBuf` idiom
-/// from the move phase): `acc` is indexed by coarse neighbor id, `touched`
+/// Dense accumulator for one coarse row (the move phase's
+/// `AffinityBuf` idiom): `acc` is indexed by coarse neighbor id, `touched`
 /// remembers which slots are dirty so reset is O(row degree).
 struct RowAccumulator {
     acc: Vec<f64>,

@@ -9,39 +9,11 @@
 
 use super::modularity::modularity;
 use super::{delta_mod, LouvainConfig, MovePhaseStats, MoveState};
+use crate::reduce_scatter::AffinityBuf;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{NoopRecorder, Recorder};
 use gp_simd::counters;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Preallocated per-thread affinity accumulator.
-///
-/// `aff[c]` holds ω(u, c∖{u}) for the vertex currently being processed;
-/// `touched` lists the communities with non-zero affinity so reset costs
-/// O(deg) instead of O(n).
-pub struct AffinityBuf {
-    pub(crate) aff: Vec<f32>,
-    pub(crate) touched: Vec<u32>,
-}
-
-impl AffinityBuf {
-    /// Allocates an accumulator for community ids `< n`.
-    pub fn new(n: usize) -> Self {
-        AffinityBuf {
-            aff: vec![0.0; n],
-            touched: Vec::with_capacity(64),
-        }
-    }
-
-    /// Resets only the touched entries.
-    #[inline]
-    pub fn reset(&mut self) {
-        for &c in &self.touched {
-            self.aff[c as usize] = 0.0;
-        }
-        self.touched.clear();
-    }
-}
 
 /// Computes the best move for `u` using the scalar affinity kernel.
 /// Returns `(from, to)` when a strictly-positive-gain move exists.
@@ -60,14 +32,9 @@ pub(crate) fn best_move_scalar(
     }
     // Affinity pass: ω(u, D∖{u}) for every neighboring community D.
     for (v, w) in g.edges_of(u) {
-        if v == u {
-            continue;
+        if v != u {
+            buf.add(state.community(v), w);
         }
-        let d = state.community(v);
-        if buf.aff[d as usize] == 0.0 {
-            buf.touched.push(d);
-        }
-        buf.aff[d as usize] += w;
     }
 
     let c = state.community(u);

@@ -4,8 +4,9 @@
 //!
 //! 1. **Affinity accumulation**: 16 neighbors per step — load neighbor ids
 //!    and edge weights, gather their communities, and reduce-scatter the
-//!    weights into the affinity accumulator (the paper's central pattern;
-//!    strategy selectable per [`crate::reduce_scatter::Strategy`]).
+//!    weights into the affinity accumulator. This is the paper's central
+//!    pattern, run through the shared [`crate::reduce_scatter`] primitive
+//!    in the formulation the [`crate::reduce_scatter::Strategy`] names.
 //! 2. **Modularity selection**: the Δmod argmax over neighboring
 //!    communities — 16 candidate communities per step, gathering their
 //!    affinities and volumes and tracking the running best with masked
@@ -13,24 +14,13 @@
 //!    calculation to be vectorized").
 
 use super::modularity::modularity;
-use super::mplm::AffinityBuf;
 use super::{AtomicF32, LouvainConfig, MovePhaseStats, MoveState};
-use crate::coloring::onpl::as_i32;
-use crate::reduce_scatter::Strategy;
-use crate::vector_affinity::accumulate;
+use crate::reduce_scatter::{accumulate, as_i32, atomic_as_i32, AffinityBuf, Strategy};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{NoopRecorder, Recorder};
 use gp_simd::backend::Simd;
 use gp_simd::vector::LANES;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// Views the atomic community array as gatherable `i32`s (benign race under
-/// PLM's optimistic parallelism; exact under the sequential schedule).
-#[inline(always)]
-fn zeta_view(zeta: &[AtomicU32]) -> &[i32] {
-    // SAFETY: AtomicU32 is repr(transparent) over u32.
-    unsafe { std::slice::from_raw_parts(zeta.as_ptr() as *const i32, zeta.len()) }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Views the atomic volume array as gatherable `f32`s.
 #[inline(always)]
@@ -146,17 +136,9 @@ pub(crate) fn best_move_onpl<S: Simd>(
     if g.degree(u) == 0 {
         return None;
     }
-    let zeta = zeta_view(&state.zeta);
+    let zeta = atomic_as_i32(&state.zeta);
     let volumes = volume_view(&state.volume);
-    accumulate(
-        s,
-        as_i32(g.neighbors(u)),
-        g.weights_of(u),
-        u,
-        zeta,
-        strategy,
-        buf,
-    );
+    accumulate(s, g, u, zeta, strategy, buf);
     let c = state.community(u);
     let (best, delta) = select_best(s, state, volumes, u, c, buf, inv_m, inv_2m2);
     buf.reset();

@@ -16,6 +16,7 @@
 use super::blocks::{Block, OvplLayout, SENTINEL};
 use super::super::{delta_mod, LouvainConfig, MovePhaseStats, MoveState};
 use crate::frontier::{run_chunked, Frontier, SweepMode};
+use crate::reduce_scatter::atomic_as_i32;
 use gp_metrics::telemetry::{NoopRecorder, Recorder};
 use gp_simd::backend::Simd;
 use gp_simd::vector::{Mask16, LANES};
@@ -50,14 +51,6 @@ impl BlockBuf {
     }
 }
 
-/// Views the atomic community array as gatherable `i32`s (same benign-race
-/// pattern as ONPL).
-#[inline(always)]
-fn zeta_view(zeta: &[std::sync::atomic::AtomicU32]) -> &[i32] {
-    // SAFETY: AtomicU32 is repr(transparent) over u32.
-    unsafe { std::slice::from_raw_parts(zeta.as_ptr() as *const i32, zeta.len()) }
-}
-
 /// Processes one block: vectorized affinity accumulation, then the paper's
 /// "natural" per-lane move selection and application. Only *active* lanes
 /// (per `fr`) select and apply moves — the affinity pass runs for every
@@ -78,7 +71,7 @@ fn process_block<S: Simd>(
     if block.is_empty() || block.max_deg == 0 {
         return 0;
     }
-    let zeta = zeta_view(&state.zeta);
+    let zeta = atomic_as_i32(&state.zeta);
     let vids_v = s.from_array_i32(block.vertices);
     let valid: Mask16 = s.cmpneq_i32(vids_v, s.splat_i32(SENTINEL));
     let sentinel_v = s.splat_i32(SENTINEL);

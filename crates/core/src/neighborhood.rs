@@ -21,10 +21,7 @@
 //! assert_eq!(weights, vec![(0, 1.0), (1, 3.0)]);
 //! ```
 
-use crate::coloring::onpl::as_i32;
-use crate::louvain::mplm::AffinityBuf;
-use crate::reduce_scatter::Strategy;
-use crate::vector_affinity::accumulate;
+use crate::reduce_scatter::{accumulate, as_i32, AffinityBuf, Strategy};
 use gp_graph::csr::Csr;
 use gp_simd::backend::Simd;
 
@@ -32,7 +29,6 @@ use gp_simd::backend::Simd;
 /// exactly the discipline MPLM preallocates per thread).
 pub struct NeighborhoodAggregator {
     buf: AffinityBuf,
-    strategy: Strategy,
     capacity: usize,
 }
 
@@ -41,15 +37,8 @@ impl NeighborhoodAggregator {
     pub fn new(capacity: usize) -> Self {
         NeighborhoodAggregator {
             buf: AffinityBuf::new(capacity),
-            strategy: Strategy::Adaptive,
             capacity,
         }
-    }
-
-    /// Overrides the reduce-scatter strategy (default adaptive).
-    pub fn with_strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Sums `w(u, v)` per `groups[v]` over all neighbors `v != u` of `u`,
@@ -78,17 +67,7 @@ impl NeighborhoodAggregator {
             self.capacity
         );
         self.buf.reset();
-        s.vectorize(|| {
-            accumulate(
-                s,
-                as_i32(g.neighbors(u)),
-                g.weights_of(u),
-                u,
-                as_i32(groups),
-                self.strategy,
-                &mut self.buf,
-            )
-        });
+        s.vectorize(|| accumulate(s, g, u, as_i32(groups), Strategy::Adaptive, &mut self.buf));
         self.buf
             .touched
             .iter()

@@ -21,10 +21,7 @@
 //! gather/reduce-scatter aggregation — the same vectorized kernel as ONPL
 //! Louvain, ONLP, and the partition refinement.
 
-use crate::coloring::onpl::as_i32;
-use crate::louvain::mplm::AffinityBuf;
-use crate::reduce_scatter::Strategy;
-use crate::vector_affinity::accumulate;
+use crate::reduce_scatter::{accumulate, as_i32, AffinityBuf, Strategy};
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{RunInfo, RunTimer};
 use gp_simd::backend::Simd;
@@ -118,17 +115,7 @@ pub fn slpa_with<S: Simd>(s: &S, g: &Csr, config: &SlpaConfig) -> OverlapResult 
             }
             // Listener: weighted frequency of the neighbors' spoken labels —
             // the shared vectorized aggregation.
-            s.vectorize(|| {
-                accumulate(
-                    s,
-                    as_i32(g.neighbors(u)),
-                    g.weights_of(u),
-                    u,
-                    as_i32(&spoken),
-                    Strategy::Adaptive,
-                    &mut buf,
-                )
-            });
+            s.vectorize(|| accumulate(s, g, u, as_i32(&spoken), Strategy::Adaptive, &mut buf));
             let mut best: Option<(u32, f32)> = None;
             for &l in &buf.touched {
                 let w = buf.aff[l as usize];

@@ -12,7 +12,7 @@
 //! vertex the kernel needs its total edge weight toward every adjacent
 //! partition — the same gather/reduce-scatter aggregation as the Louvain
 //! affinity and the label-propagation weights, executed here through the
-//! shared [`crate::vector_affinity`] kernel (the future-work thesis: one
+//! shared [`crate::reduce_scatter`] primitive (the future-work thesis: one
 //! vectorized primitive serves the whole problem class).
 
 pub mod initial;
@@ -22,7 +22,6 @@ pub mod refine;
 
 pub use metrics::{edge_cut, partition_balance, verify_partition};
 
-use crate::coloring::onpl::as_i32;
 use gp_graph::builder::{DedupPolicy, GraphBuilder};
 use gp_graph::csr::Csr;
 use gp_graph::Edge;
@@ -295,13 +294,6 @@ pub(crate) fn contract(
         }
     }
     (builder.build(), coarse_weights, coarse_map)
-}
-
-/// Casts a partition array for vector gathers (same u32/i32 trick as the
-/// other kernels; parts are tiny non-negative integers).
-#[inline(always)]
-pub(crate) fn parts_as_i32(parts: &[u32]) -> &[i32] {
-    as_i32(parts)
 }
 
 #[cfg(test)]

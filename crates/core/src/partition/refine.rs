@@ -8,22 +8,38 @@
 //! multilevel partitioners use for k-way refinement, and it vectorizes with
 //! exactly the paper's ONPL kernel.
 
-use super::{parts_as_i32, PartitionConfig};
-use crate::coloring::onpl::as_i32;
-use crate::louvain::mplm::AffinityBuf;
-use crate::reduce_scatter::Strategy;
-use crate::vector_affinity::accumulate;
+use super::PartitionConfig;
+use crate::reduce_scatter::{accumulate, as_i32, AffinityBuf, Strategy};
 use gp_graph::csr::Csr;
 use gp_simd::backend::Simd;
 
-/// Shared sweep logic: `gain_of(u, buf)` returns the best target part and
-/// the cut improvement.
+/// Rebalances, then runs gain sweeps until one moves nothing or the pass
+/// budget runs out. `aggregate(u, parts, buf)` sums `u`'s edge weight per
+/// adjacent part into `buf`; the scalar and vector refinements differ only
+/// there.
+fn refine_with(
+    g: &Csr,
+    weights: &[f32],
+    parts: &mut [u32],
+    config: &PartitionConfig,
+    mut aggregate: impl FnMut(u32, &[u32], &mut AffinityBuf),
+) {
+    rebalance(g, weights, parts, config);
+    for _ in 0..config.refine_passes {
+        if sweep(g, weights, parts, config, &mut aggregate) == 0 {
+            break;
+        }
+    }
+}
+
+/// One gain sweep: moves each vertex to the adjacent part with the largest
+/// cut improvement over staying, if balance allows. Returns the move count.
 fn sweep(
     g: &Csr,
     weights: &[f32],
     parts: &mut [u32],
     config: &PartitionConfig,
-    mut best_target: impl FnMut(u32, &[u32], &mut AffinityBuf) -> Option<(u32, f32)>,
+    aggregate: &mut impl FnMut(u32, &[u32], &mut AffinityBuf),
 ) -> usize {
     let k = config.k;
     let total: f32 = weights.iter().sum();
@@ -39,7 +55,16 @@ fn sweep(
             continue;
         }
         let from = parts[u as usize];
-        let Some((to, gain)) = best_target(u, parts, &mut buf) else {
+        aggregate(u, parts, &mut buf);
+        let internal = buf.aff[from as usize];
+        let best = buf
+            .touched
+            .iter()
+            .filter(|&&p| p != from)
+            .map(|&p| (p, buf.aff[p as usize] - internal))
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        buf.reset();
+        let Some((to, gain)) = best else {
             continue;
         };
         if to == from || gain <= 0.0 {
@@ -88,14 +113,9 @@ pub(crate) fn rebalance(g: &Csr, weights: &[f32], parts: &mut [u32], config: &Pa
                 continue;
             }
             for (v, w) in g.edges_of(u) {
-                if v == u {
-                    continue;
+                if v != u {
+                    buf.add(parts[v as usize], w);
                 }
-                let p = parts[v as usize];
-                if buf.aff[p as usize] == 0.0 {
-                    buf.touched.push(p);
-                }
-                buf.aff[p as usize] += w;
             }
             let wu = weights[u as usize];
             let target = buf
@@ -129,35 +149,13 @@ pub(crate) fn rebalance(g: &Csr, weights: &[f32], parts: &mut [u32], config: &Pa
 
 /// Scalar refinement sweeps.
 pub fn refine_scalar(g: &Csr, weights: &[f32], parts: &mut [u32], config: &PartitionConfig) {
-    rebalance(g, weights, parts, config);
-    for _ in 0..config.refine_passes {
-        let moves = sweep(g, weights, parts, config, |u, parts, buf| {
-            // Scalar aggregation of edge weight per adjacent part.
-            for (v, w) in g.edges_of(u) {
-                if v == u {
-                    continue;
-                }
-                let p = parts[v as usize];
-                if buf.aff[p as usize] == 0.0 {
-                    buf.touched.push(p);
-                }
-                buf.aff[p as usize] += w;
+    refine_with(g, weights, parts, config, |u, parts, buf| {
+        for (v, w) in g.edges_of(u) {
+            if v != u {
+                buf.add(parts[v as usize], w);
             }
-            let from = parts[u as usize];
-            let internal = buf.aff[from as usize];
-            let best = buf
-                .touched
-                .iter()
-                .filter(|&&p| p != from)
-                .map(|&p| (p, buf.aff[p as usize] - internal))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            buf.reset();
-            best
-        });
-        if moves == 0 {
-            break;
         }
-    }
+    });
 }
 
 /// ONPL-vectorized refinement sweeps: gather the parts of 16 neighbors and
@@ -169,35 +167,9 @@ pub fn refine<S: Simd>(
     parts: &mut [u32],
     config: &PartitionConfig,
 ) {
-    rebalance(g, weights, parts, config);
-    for _ in 0..config.refine_passes {
-        let moves = sweep(g, weights, parts, config, |u, parts, buf| {
-            s.vectorize(|| {
-                accumulate(
-                    s,
-                    as_i32(g.neighbors(u)),
-                    g.weights_of(u),
-                    u,
-                    parts_as_i32(parts),
-                    Strategy::Adaptive,
-                    buf,
-                )
-            });
-            let from = parts[u as usize];
-            let internal = buf.aff[from as usize];
-            let best = buf
-                .touched
-                .iter()
-                .filter(|&&p| p != from)
-                .map(|&p| (p, buf.aff[p as usize] - internal))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            buf.reset();
-            best
-        });
-        if moves == 0 {
-            break;
-        }
-    }
+    refine_with(g, weights, parts, config, |u, parts, buf| {
+        s.vectorize(|| accumulate(s, g, u, as_i32(parts), Strategy::Adaptive, buf))
+    });
 }
 
 #[cfg(test)]

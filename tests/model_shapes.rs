@@ -83,6 +83,22 @@ fn kernels_use_the_instructions_the_paper_is_about() {
     assert!(ivr.get(OpClass::Reduce) > 0);
     assert_eq!(ivr.get(OpClass::Conflict), 0, "IVR must not use vpconflictd");
 
+    let iter = counts_louvain(&g, Variant::Onpl(Strategy::ConflictIterative));
+    assert_eq!(
+        iter.get(OpClass::ScalarStore),
+        0,
+        "iterative conflict rounds must leave no scalar remainder"
+    );
+    assert!(iter.get(OpClass::Conflict) > onpl.get(OpClass::Conflict));
+
+    let scalar = counts_louvain(&g, Variant::Onpl(Strategy::Scalar));
+    assert_eq!(
+        scalar.get(OpClass::Conflict),
+        0,
+        "scalar must not use vpconflictd"
+    );
+    assert_eq!(scalar.get(OpClass::Scatter), 0, "scalar must not scatter");
+
     let ovpl = counts_louvain(&g, Variant::Ovpl);
     assert!(ovpl.get(OpClass::Gather) > 0);
     assert!(ovpl.get(OpClass::Scatter) > 0);
