@@ -6,39 +6,55 @@
 //! intra-community weight becomes a self-loop on the coarse vertex,
 //! inter-community weight aggregates into one coarse edge.
 //!
-//! ## Sort-free parallel aggregation
+//! ## Sort-free aggregation, one pass per row
 //!
 //! Earlier revisions routed coarsening through [`GraphBuilder`] with
 //! [`DedupPolicy::SumWeights`], which costs a global edge sort per level.
 //! This implementation aggregates directly:
 //!
-//! 1. **Relabel** occupied community ids densely (parallel first-occurrence
-//!    scan — atomic `fetch_min` of first positions, then one sort of the
-//!    occupied ids by position reproduces the serial numbering exactly);
-//! 2. **Bucket** fine vertices by coarse id with the same two-pass chunked
-//!    counting sort the builder uses (per-chunk histograms + prefix sums,
-//!    disjoint parallel scatter — members end up in ascending fine order);
-//! 3. **Aggregate** one coarse row per coarse vertex in parallel, using a
-//!    dense `f64` accumulator indexed by coarse neighbor id (the same
-//!    touched-list idiom as `reduce_scatter::AffinityBuf`). Every row
-//!    depends only on its own members, so the pass is embarrassingly
-//!    parallel *and* schedule-invariant: member order and adjacency order
-//!    fix the accumulation order regardless of thread count. Rows are
-//!    scheduled as contiguous ranges balanced by *arc count*
-//!    (`chunk_ranges_weighted`), not row count, so a giant late-stage
-//!    community lands in a range of its own instead of serializing
-//!    whichever worker drew it plus its neighbors in an even split.
+//! 1. **Relabel** occupied community ids densely in first-occurrence order.
+//! 2. **Bucket** fine vertices by coarse id with a two-pass counting sort
+//!    (per-chunk histograms + prefix sums, disjoint scatter — members end up
+//!    in ascending fine order).
+//! 3. **Aggregate** one coarse row per coarse vertex into a dense `f64`
+//!    accumulator indexed by coarse neighbor id. A neighbor's first touch
+//!    in row `cu` is an O(1) stamp test, `seen[cv] == cu`; scanning the
+//!    touched list instead is quadratic on hub rows (a Barabási–Albert
+//!    graph's level-0 coarse hub has tens of thousands of neighbors). The
+//!    touched list is sorted and the row appended onto one growing CSR
+//!    fragment per range of rows (a single range without workers), then the
+//!    fragments are copied once, in range order, into exactly sized coarse
+//!    arrays — no per-row vectors and no re-scatter. Member rows are
+//!    software-prefetched ahead of use: `xadj` 16 members ahead, adjacency
+//!    and weights 8 ahead.
+//!
+//! Every step has a serial form, taken whenever the input is small or the
+//! current pool has one thread: there the parallel forms only add setup
+//! (the atomic relabel and its sort, per-chunk histograms, the arc-count
+//! range split) with no worker to share it. With workers, the relabel records
+//! each id's earliest position with an atomic `fetch_min` and numbers ids
+//! by position (the serial numbering exactly); the buckets scatter chunks
+//! in parallel; and row ranges are built in parallel. The ranges are
+//! balanced by *arc count* (`chunk_ranges_weighted`), not row count, so a
+//! giant late-stage community lands in a range of its own. A row depends
+//! only on its own members, whose order and adjacency order fix the
+//! accumulation order, so the coarse graph is byte-identical for any thread
+//! count.
 //!
 //! Intra-community arcs between distinct members are seen twice (once from
 //! each endpoint), so the self-loop weight is `fine_self + intra_arcs / 2` —
-//! exact in `f64` because doubling is exact. The produced graph is
-//! byte-identical for any thread count, and matches the old builder path on
-//! integer-weighted inputs.
+//! exact in `f64` because doubling is exact. The produced graph matches the
+//! old builder path on integer-weighted inputs.
+//!
+//! [`GraphBuilder`]: gp_graph::builder::GraphBuilder
+//! [`DedupPolicy::SumWeights`]: gp_graph::builder::DedupPolicy::SumWeights
 
+use crate::locality::prefetch;
 use gp_graph::csr::Csr;
 use gp_graph::par::{chunk_count, chunk_ranges, chunk_ranges_weighted, SharedWriter};
 use gp_graph::{VertexId, Weight};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Inputs below this many fine vertices take the serial path (identical
@@ -47,6 +63,21 @@ const PARALLEL_THRESHOLD: usize = 1 << 14;
 
 /// Minimum items per parallel chunk in the bucketing passes.
 const MIN_CHUNK: usize = 1 << 13;
+
+/// Members ahead of the one being aggregated whose `xadj` entry is
+/// prefetched.
+const XADJ_AHEAD: usize = 16;
+
+/// Members ahead of the one being aggregated whose adjacency and weights
+/// are prefetched (their `xadj` entry arrived `XADJ_AHEAD - ROW_AHEAD`
+/// members earlier).
+const ROW_AHEAD: usize = 8;
+
+/// True when a pass over `len` fine vertices should fan out: the input is
+/// large enough and the current pool has workers to share it.
+fn fan_out(len: usize) -> bool {
+    len >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1
+}
 
 /// Result of coarsening: the community graph and the dense relabeling
 /// (`fine_to_coarse[community_id] = coarse vertex`, `u32::MAX` for ids that
@@ -156,52 +187,123 @@ fn bucket_members(cz: &[u32], num_coarse: usize, parallel: bool) -> (Vec<u32>, V
     (offsets, members)
 }
 
-/// Dense accumulator for one coarse row (the move phase's
-/// `AffinityBuf` idiom): `acc` is indexed by coarse neighbor id, `touched`
-/// remembers which slots are dirty so reset is O(row degree).
-struct RowAccumulator {
+/// The inputs every coarse row is aggregated from.
+struct Fine<'a> {
+    g: &'a Csr,
+    /// Coarse id of each fine vertex.
+    cz: &'a [u32],
+    /// `members[offsets[c]..offsets[c + 1]]`: the fine vertices of `c`.
+    offsets: &'a [u32],
+    members: &'a [u32],
+}
+
+/// Consecutive coarse rows as a CSR fragment: `adj`/`weights` hold them
+/// back to back, and row `i` spans `xadj[i]..xadj[i + 1]` (`xadj[0] = 0`).
+struct Rows {
+    xadj: Vec<u32>,
+    adj: Vec<VertexId>,
+    weights: Vec<Weight>,
+}
+
+impl Rows {
+    /// Concatenates per-range fragments, in range order, into exactly sized
+    /// arrays.
+    fn concat(parts: &[Rows]) -> Rows {
+        let rows = parts.iter().map(|p| p.xadj.len() - 1).sum::<usize>();
+        let arcs = parts.iter().map(|p| p.adj.len()).sum();
+        let mut out = Rows {
+            xadj: Vec::with_capacity(rows + 1),
+            adj: Vec::with_capacity(arcs),
+            weights: Vec::with_capacity(arcs),
+        };
+        out.xadj.push(0);
+        for part in parts {
+            let base = out.adj.len() as u32;
+            out.xadj
+                .extend(part.xadj[1..].iter().map(|&end| base + end));
+            out.adj.extend_from_slice(&part.adj);
+            out.weights.extend_from_slice(&part.weights);
+        }
+        out
+    }
+}
+
+/// Builds coarse rows in one pass over their members' arcs: a dense `f64`
+/// accumulator indexed by coarse neighbor id, a first-touch stamp per
+/// coarse id and the current row's touched list.
+struct RowBuilder {
     acc: Vec<f64>,
+    /// `seen[cv] == cu` once row `cu` has touched `cv`. Each row is built
+    /// once, so stamps never need clearing.
+    seen: Vec<u32>,
     touched: Vec<u32>,
 }
 
-impl RowAccumulator {
+impl RowBuilder {
     fn new(num_coarse: usize) -> Self {
-        RowAccumulator {
+        RowBuilder {
             acc: vec![0.0; num_coarse],
+            seen: vec![u32::MAX; num_coarse],
             touched: Vec::new(),
         }
     }
 
-    /// Aggregates the row of coarse vertex `cu` from its members' arcs.
-    /// Returns the sorted `(neighbor, weight)` lists for the row, with the
-    /// self-loop (if any intra weight or fine self-loop exists) included.
-    fn row(
-        &mut self,
-        g: &Csr,
-        cz: &[u32],
-        cu: u32,
-        members: &[u32],
-    ) -> (Vec<VertexId>, Vec<Weight>) {
+    /// Builds rows `range` in order.
+    fn rows(&mut self, fine: &Fine, range: Range<usize>) -> Rows {
+        let mut out = Rows {
+            xadj: Vec::with_capacity(range.len() + 1),
+            adj: Vec::new(),
+            weights: Vec::new(),
+        };
+        out.xadj.push(0);
+        for cu in range {
+            self.append_row(fine, cu as u32, &mut out);
+            out.xadj.push(out.adj.len() as u32);
+        }
+        out
+    }
+
+    /// Appends the row of coarse vertex `cu` to `out`: neighbors ascending,
+    /// with the self-loop (if any intra weight or fine self-loop exists) in
+    /// its sorted place.
+    fn append_row(&mut self, fine: &Fine, cu: u32, out: &mut Rows) {
+        let Fine {
+            g,
+            cz,
+            offsets,
+            members,
+        } = *fine;
+        let (xadj, adj, weights) = (g.xadj(), g.adj(), g.weights());
         let mut intra = 0.0f64;
         let mut self_w = 0.0f64;
         let mut has_self = false;
-        for &u in members {
+        for i in offsets[cu as usize] as usize..offsets[cu as usize + 1] as usize {
+            if let Some(&far) = members.get(i + XADJ_AHEAD) {
+                prefetch(&xadj[far as usize]);
+            }
+            if let Some(&near) = members.get(i + ROW_AHEAD) {
+                let start = xadj[near as usize] as usize;
+                prefetch(adj.as_ptr().wrapping_add(start));
+                prefetch(weights.as_ptr().wrapping_add(start));
+            }
+            let u = members[i];
             for (v, w) in g.edges_of(u) {
+                let cv = cz[v as usize];
                 if v == u {
                     // Fine self-loop: stored once in CSR.
                     self_w += w as f64;
                     has_self = true;
-                } else if cz[v as usize] == cu {
+                } else if cv == cu {
                     // Intra-community arc: seen from both endpoints.
                     intra += w as f64;
                     has_self = true;
                 } else {
-                    let cv = cz[v as usize];
-                    let slot = &mut self.acc[cv as usize];
-                    if *slot == 0.0 && !self.touched.contains(&cv) {
+                    let stamp = &mut self.seen[cv as usize];
+                    if *stamp != cu {
+                        *stamp = cu;
                         self.touched.push(cv);
                     }
-                    *slot += w as f64;
+                    self.acc[cv as usize] += w as f64;
                 }
             }
         }
@@ -209,26 +311,21 @@ impl RowAccumulator {
         let self_total = self_w + intra / 2.0;
 
         self.touched.sort_unstable();
-        let extra = usize::from(has_self);
-        let mut adj = Vec::with_capacity(self.touched.len() + extra);
-        let mut weights = Vec::with_capacity(self.touched.len() + extra);
-        let mut self_emitted = false;
-        for &cv in &self.touched {
-            if has_self && !self_emitted && cv > cu {
-                adj.push(cu);
-                weights.push(self_total as Weight);
-                self_emitted = true;
+        let below = self.touched.partition_point(|&cv| cv < cu);
+        for (k, &cv) in self.touched.iter().enumerate() {
+            if k == below && has_self {
+                out.adj.push(cu);
+                out.weights.push(self_total as Weight);
             }
-            adj.push(cv);
-            weights.push(self.acc[cv as usize] as Weight);
+            out.adj.push(cv);
+            out.weights.push(self.acc[cv as usize] as Weight);
             self.acc[cv as usize] = 0.0;
         }
-        if has_self && !self_emitted {
-            adj.push(cu);
-            weights.push(self_total as Weight);
+        if below == self.touched.len() && has_self {
+            out.adj.push(cu);
+            out.weights.push(self_total as Weight);
         }
         self.touched.clear();
-        (adj, weights)
     }
 }
 
@@ -236,7 +333,7 @@ impl RowAccumulator {
 pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
     let n = g.num_vertices();
     assert_eq!(zeta.len(), n, "community array length mismatch");
-    let parallel = n >= PARALLEL_THRESHOLD;
+    let parallel = fan_out(n);
 
     let (fine_to_coarse, num_coarse) = dense_relabel(zeta, n, parallel);
 
@@ -251,15 +348,19 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
     };
 
     let (offsets, members) = bucket_members(&cz, num_coarse, parallel);
+    let fine = Fine {
+        g,
+        cz: &cz,
+        offsets: &offsets,
+        members: &members,
+    };
 
-    // Aggregate rows (independent per coarse vertex, scratch per thread).
-    // Row cost is the arcs scanned, not the row count: late in a Louvain run
-    // one community can hold most of the graph, and an even split by coarse
-    // vertex would hand that whole hub row plus a tail of others to a single
-    // worker. Weighted ranges cut the worklist so a heavy row sits alone in
-    // its own chunk; per-range results are concatenated in range order, so
-    // the output stays byte-identical to the per-vertex schedule.
-    let rows: Vec<(Vec<VertexId>, Vec<Weight>)> = if parallel {
+    let parts: Vec<Rows> = if parallel {
+        // Row cost is the arcs scanned, not the row count: late in a Louvain
+        // run one community can hold most of the graph, and an even split by
+        // coarse vertex would hand that whole hub row plus a tail of others
+        // to a single worker. Weighted ranges cut the worklist so a heavy
+        // row sits alone in its own range.
         let row_cost: Vec<u64> = (0..num_coarse)
             .into_par_iter()
             .map(|cu| {
@@ -268,64 +369,23 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
             })
             .collect();
         // Oversubscribe 4x so the ranges between heavy rows still spread.
-        let chunks = rayon::current_num_threads().max(1) * 4;
+        let chunks = rayon::current_num_threads() * 4;
         let ranges = chunk_ranges_weighted(num_coarse, chunks, |cu| row_cost[cu]);
         ranges
             .par_iter()
-            .map(|range| {
-                let mut buf = RowAccumulator::new(num_coarse);
-                range
-                    .clone()
-                    .map(|cu| {
-                        let r = offsets[cu] as usize..offsets[cu + 1] as usize;
-                        buf.row(g, &cz, cu as u32, &members[r])
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
+            .map(|range| RowBuilder::new(num_coarse).rows(&fine, range.clone()))
             .collect()
     } else {
-        let mut buf = RowAccumulator::new(num_coarse);
-        (0..num_coarse as u32)
-            .map(|cu| {
-                let r = offsets[cu as usize] as usize..offsets[cu as usize + 1] as usize;
-                buf.row(g, &cz, cu, &members[r])
-            })
-            .collect()
+        vec![RowBuilder::new(num_coarse).rows(&fine, 0..num_coarse)]
     };
-
-    // Assemble CSR: serial prefix over row lengths, parallel scatter.
-    let mut xadj = vec![0u32; num_coarse + 1];
-    for (cu, (adj, _)) in rows.iter().enumerate() {
-        xadj[cu + 1] = xadj[cu] + adj.len() as u32;
-    }
-    let total = xadj[num_coarse] as usize;
-    let mut adj = vec![0 as VertexId; total];
-    let mut weights = vec![0.0 as Weight; total];
-    {
-        let adj_w = SharedWriter::new(&mut adj);
-        let wgt_w = SharedWriter::new(&mut weights);
-        let scatter = |(cu, (radj, rwgt)): (usize, &(Vec<VertexId>, Vec<Weight>))| {
-            let base = xadj[cu] as usize;
-            for (i, (&v, &w)) in radj.iter().zip(rwgt.iter()).enumerate() {
-                // SAFETY: rows occupy disjoint `xadj` ranges by construction.
-                unsafe {
-                    adj_w.write(base + i, v);
-                    wgt_w.write(base + i, w);
-                }
-            }
-        };
-        if parallel {
-            rows.par_iter().enumerate().for_each(|(cu, row)| scatter((cu, row)));
-        } else {
-            rows.iter().enumerate().for_each(|(cu, row)| scatter((cu, row)));
-        }
-    }
+    // Fragments grow by doubling; the coarse graph lives through the next
+    // level, so it gets exactly sized copies and the fragments go before
+    // the result is validated.
+    let rows = Rows::concat(&parts);
+    drop(parts);
 
     Coarsened {
-        graph: Csr::from_raw(xadj, adj, weights),
+        graph: Csr::from_raw(rows.xadj, rows.adj, rows.weights),
         fine_to_coarse,
     }
 }
@@ -333,15 +393,11 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
 /// Projects a coarse-level assignment back to the fine level:
 /// `result[u] = coarse_zeta[fine_to_coarse[zeta[u]]]`.
 pub fn project(zeta: &[u32], fine_to_coarse: &[u32], coarse_zeta: &[u32]) -> Vec<u32> {
-    if zeta.len() >= PARALLEL_THRESHOLD {
-        zeta.par_iter()
-            .with_min_len(MIN_CHUNK)
-            .map(|&c| coarse_zeta[fine_to_coarse[c as usize] as usize])
-            .collect()
+    let lift = |&c: &u32| coarse_zeta[fine_to_coarse[c as usize] as usize];
+    if fan_out(zeta.len()) {
+        zeta.par_iter().with_min_len(MIN_CHUNK).map(lift).collect()
     } else {
-        zeta.iter()
-            .map(|&c| coarse_zeta[fine_to_coarse[c as usize] as usize])
-            .collect()
+        zeta.iter().map(lift).collect()
     }
 }
 
@@ -351,6 +407,7 @@ mod tests {
     use super::*;
     use gp_graph::builder::{from_pairs, DedupPolicy, GraphBuilder};
     use gp_graph::generators::{planted_partition, rmat, RmatConfig};
+    use gp_graph::par::with_threads;
     use gp_graph::Edge;
 
     #[test]
@@ -466,7 +523,8 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_paths_agree() {
-        // Force the parallel path by exceeding PARALLEL_THRESHOLD and check
+        // Force the parallel path by exceeding PARALLEL_THRESHOLD on a pool
+        // with workers (a one-thread pool takes the serial path) and check
         // it against the always-serial reference on the same input.
         let n = super::PARALLEL_THRESHOLD + 100;
         let g = {
@@ -480,7 +538,7 @@ mod tests {
             b.build()
         };
         let zeta: Vec<u32> = (0..n as u32).map(|u| u % 4097).collect();
-        let c = coarsen(&g, &zeta);
+        let c = with_threads(4, || coarsen(&g, &zeta));
         let (f2c, k) = dense_relabel(&zeta, n, false);
         assert_eq!(c.fine_to_coarse, f2c);
         let reference = coarsen_reference(&g, &zeta, &f2c, k);
@@ -507,7 +565,7 @@ mod tests {
         let zeta: Vec<u32> = (0..n as u32)
             .map(|u| if (u as usize) < n * 9 / 10 { 0 } else { u })
             .collect();
-        let c = coarsen(&g, &zeta);
+        let c = with_threads(4, || coarsen(&g, &zeta));
         let (f2c, k) = dense_relabel(&zeta, n, false);
         let reference = coarsen_reference(&g, &zeta, &f2c, k);
         assert_eq!(c.graph.xadj(), reference.xadj());

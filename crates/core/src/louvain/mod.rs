@@ -371,16 +371,40 @@ pub struct MoveState {
     pub total_weight: f64,
 }
 
+/// Every vertex's volume `vol(u)` (as `f32`) and the total edge weight
+/// ω(E), from one pass over the arcs. Each sum runs in `f64` in the order
+/// [`Csr::volume`] and [`Csr::total_weight`] use, so the bits match theirs.
+fn volumes_and_total_weight(g: &Csr) -> (Vec<f32>, f64) {
+    let (mut twice, mut loops) = (0.0f64, 0.0f64);
+    let volumes = g
+        .vertices()
+        .map(|u| {
+            let mut vol = 0.0f64;
+            for (v, w) in g.edges_of(u) {
+                vol += w as f64;
+                if v == u {
+                    vol += w as f64;
+                    loops += w as f64;
+                } else {
+                    twice += w as f64;
+                }
+            }
+            vol as f32
+        })
+        .collect();
+    (volumes, twice / 2.0 + loops)
+}
+
 impl MoveState {
     /// Singleton initialization: every vertex in its own community.
     pub fn singleton(g: &Csr) -> Self {
         let n = g.num_vertices();
-        let vertex_volume: Vec<f32> = (0..n as u32).map(|u| g.volume(u) as f32).collect();
+        let (vertex_volume, total_weight) = volumes_and_total_weight(g);
         MoveState {
             zeta: (0..n as u32).map(AtomicU32::new).collect(),
             volume: vertex_volume.iter().map(|&v| AtomicF32::new(v)).collect(),
             vertex_volume,
-            total_weight: g.total_weight(),
+            total_weight,
         }
     }
 
@@ -390,7 +414,7 @@ impl MoveState {
     pub fn from_assignment(g: &Csr, zeta: &[u32]) -> Self {
         let n = g.num_vertices();
         assert_eq!(zeta.len(), n, "assignment length must match graph");
-        let vertex_volume: Vec<f32> = (0..n as u32).map(|u| g.volume(u) as f32).collect();
+        let (vertex_volume, total_weight) = volumes_and_total_weight(g);
         let mut vol = vec![0.0f32; n];
         for (u, &c) in zeta.iter().enumerate() {
             vol[c as usize] += vertex_volume[u];
@@ -399,7 +423,7 @@ impl MoveState {
             zeta: zeta.iter().map(|&c| AtomicU32::new(c)).collect(),
             volume: vol.into_iter().map(AtomicF32::new).collect(),
             vertex_volume,
-            total_weight: g.total_weight(),
+            total_weight,
         }
     }
 

@@ -21,26 +21,45 @@ pub fn modularity(g: &Csr, zeta: &[u32]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    let m = g.total_weight();
+
+    // One pass over the arcs accumulates ω(E), each community's volume and
+    // its intra volume. Every sum runs in the order of the separate
+    // `total_weight`, `volume(u)` and intra passes it replaces, so Q keeps
+    // its bits.
+    let (mut twice, mut loops) = (0.0f64, 0.0f64);
+    let mut intra_vol = vec![0.0f64; n];
+    let mut vol = vec![0.0f64; n];
+    for u in g.vertices() {
+        let c = zeta[u as usize];
+        let cu = c as usize;
+        assert!(cu < n, "community id {cu} out of range");
+        let intra = &mut intra_vol[cu];
+        let mut vol_u = 0.0f64;
+        for (v, w) in g.edges_of(u) {
+            let w = w as f64;
+            vol_u += w;
+            if v == u {
+                // A self-loop is stored and visited once: it counts double
+                // in the volume and in the intra volume.
+                vol_u += w;
+                loops += w;
+                *intra += 2.0 * w;
+            } else {
+                twice += w;
+                if zeta[v as usize] == c {
+                    // Visited from both endpoints: +2w in total.
+                    *intra += w;
+                }
+            }
+        }
+        vol[cu] += vol_u;
+    }
+    let m = twice / 2.0 + loops;
     if m == 0.0 {
         return 0.0;
     }
     let two_m = 2.0 * m;
 
-    let mut intra_vol = vec![0.0f64; n];
-    let mut vol = vec![0.0f64; n];
-    for u in g.vertices() {
-        let cu = zeta[u as usize] as usize;
-        assert!(cu < n, "community id {cu} out of range");
-        vol[cu] += g.volume(u);
-        for (v, w) in g.edges_of(u) {
-            if zeta[v as usize] == zeta[u as usize] {
-                // Each non-loop intra edge is visited from both endpoints
-                // (+2w total); a self-loop is visited once, count it double.
-                intra_vol[cu] += if v == u { 2.0 * w as f64 } else { w as f64 };
-            }
-        }
-    }
     let mut q = 0.0;
     for c in 0..n {
         if vol[c] > 0.0 {

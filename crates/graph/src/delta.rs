@@ -165,13 +165,25 @@ impl TouchedSet {
     /// `g`, sorted and deduplicated — the frontier seed for the community
     /// kernels (a changed edge can flip the best label/community of either
     /// endpoint *and* of anything adjacent to them).
+    ///
+    /// Marks the closure in a bitmap over `g`'s vertices and reads the set
+    /// bits back in ascending order, so the cost is the touched rows plus
+    /// `n / 64` words instead of a sort of every neighbor list.
     pub fn expand(&self, g: &Csr) -> Vec<VertexId> {
-        let mut out = self.verts.clone();
+        let mut marked = vec![0u64; g.num_vertices().div_ceil(64)];
+        let mut mark = |v: VertexId| marked[v as usize / 64] |= 1 << (v % 64);
         for &v in &self.verts {
-            out.extend(g.neighbors(v).iter().copied().filter(|&u| u != v));
+            mark(v);
+            g.neighbors(v).iter().for_each(|&u| mark(u));
         }
-        out.sort_unstable();
-        out.dedup();
+        let mut out = Vec::new();
+        for (i, &word) in marked.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push((i * 64) as VertexId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
         out
     }
 }
@@ -513,6 +525,7 @@ mod tests {
     use super::*;
     use crate::builder::from_pairs;
     use crate::generators::{erdos_renyi, triangular_mesh};
+    use proptest::prelude::*;
 
     fn mesh() -> Csr {
         triangular_mesh(8, 8, 1)
@@ -693,11 +706,53 @@ mod tests {
         }
     }
 
+    /// The sort-based closure `expand` replaced.
+    fn expand_by_sorting(t: &TouchedSet, g: &Csr) -> Vec<VertexId> {
+        let mut out = t.as_slice().to_vec();
+        for &v in t.as_slice() {
+            out.extend(g.neighbors(v).iter().copied().filter(|&u| u != v));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bitmap closure equals the sort-based one on graphs with
+        /// self-loops, a hub adjacent to every third vertex and isolated
+        /// vertices (ids from 200 up that the hub skips), for touched sets
+        /// from empty up to every vertex.
+        #[test]
+        fn expand_matches_sorting_reference(
+            n in 1usize..300,
+            pairs in proptest::collection::vec((0u32..200, 0u32..200), 0..400),
+            touched in proptest::collection::vec(0u32..300, 0..64),
+            isolated in 0usize..70,
+        ) {
+            let n = n + isolated;
+            let mut b = crate::builder::GraphBuilder::new(n);
+            let fit = |v: u32| v % n as u32;
+            for &(u, v) in &pairs {
+                // Pairs with u == v are self-loops.
+                b.add_edge(Edge::unweighted(fit(u), fit(v)));
+            }
+            for v in (0..n as u32).step_by(3) {
+                b.add_edge(Edge::unweighted(0, v));
+            }
+            let g = b.build();
+            let t = TouchedSet::from_vertices(touched.iter().map(|&v| fit(v)).collect());
+            prop_assert_eq!(t.expand(&g), expand_by_sorting(&t, &g));
+        }
+    }
+
     #[test]
     fn touched_set_expand_covers_neighborhood() {
         let g = from_pairs(5, [(0, 1), (1, 2), (3, 4)]);
         let t = TouchedSet::from_vertices(vec![1]);
         assert_eq!(t.expand(&g), vec![0, 1, 2]);
+        assert!(TouchedSet::default().expand(&g).is_empty());
         let mut a = TouchedSet::from_vertices(vec![3, 1]);
         a.merge(&t);
         assert_eq!(a.as_slice(), &[1, 3]);

@@ -208,13 +208,13 @@ pub struct Pool {
     inner: Arc<PoolInner>,
 }
 
-static POOLS_CREATED: AtomicUsize = AtomicUsize::new(0);
+static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(0);
 
 impl Pool {
     /// Build a pool with exactly `threads` workers (`0` is clamped to 1).
     pub fn new(threads: usize) -> Pool {
         let threads = threads.max(1);
-        let id = POOLS_CREATED.fetch_add(1, Ordering::SeqCst);
+        let id = NEXT_POOL_ID.fetch_add(1, Ordering::SeqCst);
         let spawn_workers = threads > 1 && !sequential_mode();
         let nworkers = if spawn_workers { threads } else { 0 };
         let shared = Arc::new(Shared {
@@ -578,12 +578,6 @@ pub fn cached(threads: usize) -> Pool {
     map.entry(threads).or_insert_with(|| Pool::new(threads)).clone()
 }
 
-/// Total number of pools ever constructed in this process. Used by the
-/// `with_threads` pool-caching regression test.
-pub fn pools_created() -> usize {
-    POOLS_CREATED.load(Ordering::SeqCst)
-}
-
 /// The pool governing the calling thread: the worker's own pool if this is
 /// a worker thread, else the innermost [`Pool::install`]ed pool, else the
 /// [`global`] pool.
@@ -794,15 +788,13 @@ mod tests {
 
     #[test]
     fn cached_pools_are_reused() {
-        let before = pools_created();
+        // Pool ids are unique per construction, so the same id on every
+        // call proves no pool was built after the first (asserting on this
+        // pool, not on a process-wide count that sibling tests move).
         let p1 = cached(3);
-        let created_after_first = pools_created();
         for _ in 0..100 {
-            let p = cached(3);
-            assert_eq!(p.id(), p1.id());
+            assert_eq!(cached(3).id(), p1.id());
         }
-        assert_eq!(pools_created(), created_after_first);
-        assert!(created_after_first <= before + 1);
     }
 
     #[test]
