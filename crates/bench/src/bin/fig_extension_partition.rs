@@ -5,28 +5,34 @@
 //! The multilevel partitioner's refinement aggregates boundary weights per
 //! part with the same gather/reduce-scatter kernel as ONPL Louvain. This
 //! binary reports (a) partition quality — cut and balance per graph — and
-//! (b) the modeled cross-architecture speedup of the vectorized refinement
-//! over the scalar one.
+//! (b) the measured and the modeled cross-architecture speedup of the
+//! vectorized refinement over the scalar one, both from the same striped
+//! start.
 
 use gp_bench::harness::{print_header, study_archs_for_paper, BenchContext};
 use gp_core::partition::refine::{refine, refine_scalar};
 use gp_core::partition::{partition_graph, PartitionConfig};
-use gp_metrics::report::{fmt_ratio, Table};
+use gp_metrics::report::{fmt_ratio, fmt_secs, Table};
+use gp_metrics::timer::time_runs;
 use gp_simd::backend::Emulated;
 use gp_simd::counted::Counted;
 use gp_simd::counters::{self, OpClass};
+use gp_simd::engine::Engine;
 use gp_graph::suite::{build_standin, entry};
 
 fn main() {
     let ctx = BenchContext::from_env();
     print_header("Supplementary: edge-cut partitioning via the ONPL kernel", &ctx);
     let mut table = Table::new(
-        "4-way partition quality + modeled refinement speedup",
+        "4-way partition quality + measured and modeled refinement speedup",
         &[
             "graph",
             "edge cut",
             "cut frac",
             "balance",
+            "scalar refine",
+            "ONPL refine",
+            "measured gain",
             "refine CLX",
             "refine SKX",
         ],
@@ -38,9 +44,27 @@ fn main() {
         let config = PartitionConfig::kway(4);
         let r = partition_graph(&g, &config);
 
-        // Model the refinement kernels on a striped (worst-case) start.
+        // Time and model the refinement kernels on a striped (worst-case)
+        // start.
         let weights = vec![1.0f32; g.num_vertices()];
         let stripes: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v % 4).collect();
+        let t_scalar = time_runs(&ctx.timing, |_| {
+            let mut parts = stripes.clone();
+            refine_scalar(&g, &weights, &mut parts, &config);
+            parts
+        });
+        let t_vector = match gp_core::backends::engine() {
+            Engine::Native(s) => time_runs(&ctx.timing, |_| {
+                let mut parts = stripes.clone();
+                refine(&s, &g, &weights, &mut parts, &config);
+                parts
+            }),
+            Engine::Emulated(s) => time_runs(&ctx.timing, |_| {
+                let mut parts = stripes.clone();
+                refine(&s, &g, &weights, &mut parts, &config);
+                parts
+            }),
+        };
         let scalar_counts = {
             let mut parts = stripes.clone();
             counters::counted_run(|| {
@@ -67,6 +91,9 @@ fn main() {
             format!("{:.0}", r.edge_cut),
             format!("{:.3}", r.edge_cut / g.total_weight()),
             format!("{:.3}", r.balance),
+            fmt_secs(t_scalar.mean),
+            fmt_secs(t_vector.mean),
+            fmt_ratio(t_scalar.mean / t_vector.mean),
             fmt_ratio(archs[0].speedup(&scalar_counts, &vector_counts)),
             fmt_ratio(archs[1].speedup(&scalar_counts, &vector_counts)),
         ]);

@@ -1,8 +1,7 @@
 //! Figure (extension) — thread scaling of substrate passes and kernels on
 //! the `gp-par` work-stealing pool.
 //!
-//! PR 5 replaced the sequential rayon stand-in with a real pool
-//! (`crates/par`, bridged through `.devstubs/rayon`); this binary measures
+//! Every substrate pass runs on the `crates/par` pool; this binary measures
 //! what that buys: wall-clock at 1/2/4/8 worker threads for three substrate
 //! passes (R-MAT generation, counting-sort CSR assembly, coarsening) and
 //! three kernels (MPLM Louvain, MPLP label propagation, speculative

@@ -30,14 +30,14 @@ pub struct BenchContext {
     pub scale: SuiteScale,
     /// Emit CSV instead of aligned text.
     pub csv: bool,
-    /// Substrate worker threads (`GP_THREADS`; 0 = rayon's default pool).
+    /// Substrate worker threads (`GP_THREADS`; 0 = the default global pool).
     pub threads: usize,
 }
 
 impl BenchContext {
     /// Reads `GP_QUICK`, `GP_RUNS`, `GP_SCALE`, `GP_CSV`, `GP_THREADS`.
     ///
-    /// When `GP_THREADS` is set, the global rayon pool is sized accordingly
+    /// When `GP_THREADS` is set, the global `gp-par` pool is sized accordingly
     /// before any parallel work runs, so every substrate pass in the binary
     /// (generation, CSR builds, coarsening) uses that many workers. The
     /// substrate is deterministic for any pool size — the knob trades
@@ -46,9 +46,7 @@ impl BenchContext {
         let threads = gp_graph::par::threads_from_env().unwrap_or(0);
         if threads != 0 {
             // First caller wins; a pre-initialized pool keeps its size.
-            let _ = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build_global();
+            let _ = gp_par::set_global_threads(threads);
         }
         let quick = std::env::var("GP_QUICK").is_ok_and(|v| v == "1");
         let mut timing = if quick {

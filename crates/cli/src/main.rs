@@ -17,8 +17,8 @@
 //! `.graph`/`.metis` METIS, `.mtx` Matrix Market.
 //!
 //! A global `--threads n` flag (any position, or the `GP_THREADS`
-//! environment variable) runs the whole command inside a scoped rayon pool
-//! of `n` workers. Graph generation, CSR construction, and coarsening are
+//! environment variable) runs the whole command with a `gp-par` pool of
+//! `n` workers made current. Graph generation, CSR construction, and coarsening are
 //! deterministic for any pool size, so the knob trades wall-clock only.
 
 mod commands;
@@ -42,7 +42,7 @@ fn parse_thread_count(source: &str, v: &str) -> Result<usize, String> {
 /// Extracts the global `--threads n` flag (any position) and returns the
 /// thread count plus the remaining arguments. Falls back to the
 /// `GP_THREADS` environment variable; with neither set, 0 is returned,
-/// meaning "use the ambient rayon pool".
+/// meaning "use the ambient pool".
 fn take_threads(args: Vec<String>) -> Result<(usize, Vec<String>), String> {
     let mut threads = None;
     let mut rest = Vec::with_capacity(args.len());

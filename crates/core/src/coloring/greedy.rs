@@ -10,9 +10,9 @@ use super::{ColoringConfig, ColoringResult};
 use crate::frontier::SweepMode;
 use crate::locality::{self, Plan, LOW_MAX_DEGREE};
 use gp_graph::csr::Csr;
+use gp_graph::par::concat_chunks;
 use gp_metrics::telemetry::{NoopRecorder, Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
 use gp_simd::counters;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Per-thread workspace for `AssignColors`: the FORBIDDEN array of
@@ -169,7 +169,7 @@ pub(crate) fn detect_conflicts(
             .then_some(v)
     };
     let mut newconf: Vec<u32> = if config.parallel {
-        conf.par_iter().filter_map(find).collect()
+        concat_chunks(conf.len(), 1, |r| conf[r].iter().filter_map(find).collect())
     } else {
         conf.iter().filter_map(find).collect()
     };

@@ -39,9 +39,9 @@ pub struct ColorWarm {
 /// Configuration shared by all coloring variants.
 #[derive(Debug, Clone)]
 pub struct ColoringConfig {
-    /// Color conflict vertices with rayon parallelism. With `false`, the
-    /// algorithm degenerates to sequential greedy coloring (no conflicts
-    /// ever arise — useful for deterministic tests).
+    /// Color conflict vertices in parallel on the current `gp-par` pool.
+    /// With `false`, the algorithm degenerates to sequential greedy
+    /// coloring (no conflicts ever arise — useful for deterministic tests).
     pub parallel: bool,
     /// Safety valve on speculative rounds; the algorithm converges long
     /// before this on any real input.

@@ -14,6 +14,7 @@ use super::{ColoringConfig, ColoringResult};
 use crate::locality::Plan;
 use crate::reduce_scatter::{as_i32, atomic_as_i32};
 use gp_graph::csr::Csr;
+use gp_graph::par::concat_chunks;
 use gp_metrics::telemetry::Recorder;
 use gp_simd::backend::Simd;
 use gp_simd::vector::LANES;
@@ -144,8 +145,7 @@ pub fn detect_conflicts_onpl<S: Simd + Sync>(
         })
     };
     let mut newconf: Vec<u32> = if config.parallel {
-        use rayon::prelude::*;
-        conf.par_iter().filter_map(find).collect()
+        concat_chunks(conf.len(), 1, |r| conf[r].iter().filter_map(find).collect())
     } else {
         conf.iter().filter_map(find).collect()
     };

@@ -27,7 +27,6 @@
 
 use crate::locality::fan_out_units;
 use gp_metrics::telemetry::Recorder;
-use rayon::prelude::*;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -217,15 +216,13 @@ fn chunk_len<R: Recorder>(len: usize) -> usize {
 /// fire deadlines. Returns `true` if the sweep bailed early — the caller
 /// must then treat the round as incomplete (`converged: false`).
 ///
-/// Three execution shapes, picked from `parallel` and the current
+/// Two execution shapes, picked from `parallel` and the current
 /// [`gp_par`] pool:
 ///
-/// * `parallel == false` — a plain loop with one hoisted buffer, polling the
-///   deadline between chunks. Byte-identical to the pre-pool behavior.
-/// * `parallel == true` on an *inline* pool (1 thread, or `GP_PAR_SEQ=1`) —
-///   per-chunk `for_each_init` through the rayon shim, which the inline
-///   pool executes in submission order; chunk boundaries and deadline polls
-///   stay sequential. This is the deterministic parallel shape.
+/// * `parallel == false`, or an *inline* pool (1 thread, or
+///   `GP_PAR_SEQ=1`) — a plain loop with one hoisted buffer, polling the
+///   deadline between chunks. `make_buf` runs once per sweep, as in
+///   [`crate::locality::run_sweep`].
 /// * `parallel == true` on a real multi-thread pool — the chunks fan out
 ///   across the pool's workers through a shared atomic cursor. Every worker
 ///   (and the calling thread, which sweeps too) claims chunks until the
@@ -266,21 +263,15 @@ where
         }
     }
     let mut start = 0usize;
-    let mut buf: Option<B> = None; // hoisted across chunks in the sequential path
+    let mut buf: Option<B> = None; // hoisted across chunks
     while start < len {
         if R::CHECKS_DEADLINE && start > 0 && rec.should_stop() {
             return true;
         }
         let end = (start + chunk).min(len);
-        if parallel {
-            (start..end)
-                .into_par_iter()
-                .for_each_init(&make_buf, |b, i| process(b, i));
-        } else {
-            let b = buf.get_or_insert_with(&make_buf);
-            for i in start..end {
-                process(b, i);
-            }
+        let b = buf.get_or_insert_with(&make_buf);
+        for i in start..end {
+            process(b, i);
         }
         start = end;
     }
@@ -396,6 +387,23 @@ mod tests {
             assert!(!bailed);
             assert!(seen.iter().all(|s| s.load(Ordering::Relaxed) == 1));
         }
+    }
+
+    #[test]
+    fn run_chunked_makes_one_buffer_per_sweep_on_an_inline_pool() {
+        // `parallel: true` (the KernelSpec default) on a one-thread pool:
+        // one buffer per sweep, whether the sweep is one chunk or several
+        // deadline-polled ones.
+        let far = DeadlineRecorder::new(NoopRecorder, Instant::now() + Duration::from_secs(3600));
+        let bufs = AtomicU64::new(0);
+        let make_buf = || {
+            bufs.fetch_add(1, Ordering::Relaxed);
+        };
+        gp_par::cached(1).install(|| {
+            run_chunked(3 * DEADLINE_CHUNK, true, &NoopRecorder, make_buf, |_, _| {});
+            run_chunked(3 * DEADLINE_CHUNK, true, &far, make_buf, |_, _| {});
+        });
+        assert_eq!(bufs.load(Ordering::Relaxed), 2);
     }
 
     #[test]

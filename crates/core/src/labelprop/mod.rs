@@ -36,7 +36,7 @@ pub struct LpWarm {
 /// Label propagation configuration.
 #[derive(Debug, Clone)]
 pub struct LabelPropConfig {
-    /// Process vertices with rayon parallelism.
+    /// Process vertices in parallel on the current `gp-par` pool.
     pub parallel: bool,
     /// Stop when a sweep updates ≤ θ vertices (the paper's `updated > θ`
     /// loop condition). NetworKit's default is `n · 10⁻⁵`, applied via

@@ -30,7 +30,7 @@
 //!
 //! Every step has a serial form, taken whenever the input is small or the
 //! current pool has one thread: there the parallel forms only add setup
-//! (the atomic relabel and its sort, per-chunk histograms, the arc-count
+//! (the atomic relabel and its scan, per-chunk histograms, the arc-count
 //! range split) with no worker to share it. With workers, the relabel records
 //! each id's earliest position with an atomic `fetch_min` and numbers ids
 //! by position (the serial numbering exactly); the buckets scatter chunks
@@ -51,9 +51,10 @@
 
 use crate::locality::prefetch;
 use gp_graph::csr::Csr;
-use gp_graph::par::{chunk_count, chunk_ranges, chunk_ranges_weighted, SharedWriter};
+use gp_graph::par::{
+    chunk_count, chunk_ranges, chunk_ranges_weighted, concat_chunks, SharedWriter,
+};
 use gp_graph::{VertexId, Weight};
-use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -76,7 +77,7 @@ const ROW_AHEAD: usize = 8;
 /// True when a pass over `len` fine vertices should fan out: the input is
 /// large enough and the current pool has workers to share it.
 fn fan_out(len: usize) -> bool {
-    len >= PARALLEL_THRESHOLD && rayon::current_num_threads() > 1
+    len >= PARALLEL_THRESHOLD && gp_par::current().threads() > 1
 }
 
 /// Result of coarsening: the community graph and the dense relabeling
@@ -107,27 +108,25 @@ fn dense_relabel(zeta: &[u32], n: usize, parallel: bool) -> (Vec<u32>, usize) {
     }
 
     // Parallel first-occurrence: record the earliest position of each
-    // community id, then number occupied ids by position. `fetch_min` is
-    // order-insensitive, so the result is schedule-invariant.
+    // community id (`fetch_min` is order-insensitive, so the result is
+    // schedule-invariant), then keep `zeta[i]` wherever `i` is that
+    // position. An ordered scan lists the occupied ids in first-occurrence
+    // order, the serial numbering.
     let first_pos: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
     let ranges = chunk_ranges(zeta.len(), chunk_count(zeta.len(), MIN_CHUNK));
-    ranges.into_par_iter().for_each(|r| {
+    gp_par::current().map(ranges, |r| {
         for i in r {
             first_pos[zeta[i] as usize].fetch_min(i as u32, Ordering::Relaxed);
         }
     });
-
-    let mut occupied: Vec<(u32, u32)> = (0..n as u32)
-        .into_par_iter()
-        .filter_map(|c| {
-            let pos = first_pos[c as usize].load(Ordering::Relaxed);
-            (pos != u32::MAX).then_some((pos, c))
-        })
-        .collect();
-    occupied.par_sort_unstable();
+    let occupied = concat_chunks(zeta.len(), MIN_CHUNK, |r| {
+        r.filter(|&i| first_pos[zeta[i] as usize].load(Ordering::Relaxed) == i as u32)
+            .map(|i| zeta[i])
+            .collect()
+    });
 
     let mut fine_to_coarse = vec![u32::MAX; n];
-    for (next, &(_, c)) in occupied.iter().enumerate() {
+    for (next, &c) in occupied.iter().enumerate() {
         fine_to_coarse[c as usize] = next as u32;
     }
     (fine_to_coarse, occupied.len())
@@ -144,17 +143,15 @@ fn bucket_members(cz: &[u32], num_coarse: usize, parallel: bool) -> (Vec<u32>, V
         1
     };
     let ranges = chunk_ranges(cz.len(), chunks);
+    let pool = gp_par::current();
 
-    let mut hists: Vec<Vec<u32>> = ranges
-        .par_iter()
-        .map(|r| {
-            let mut count = vec![0u32; num_coarse];
-            for &c in &cz[r.clone()] {
-                count[c as usize] += 1;
-            }
-            count
-        })
-        .collect();
+    let mut hists: Vec<Vec<u32>> = pool.map(ranges.clone(), |r| {
+        let mut count = vec![0u32; num_coarse];
+        for &c in &cz[r] {
+            count[c as usize] += 1;
+        }
+        count
+    });
 
     let mut offsets = vec![0u32; num_coarse + 1];
     for c in 0..num_coarse {
@@ -171,18 +168,16 @@ fn bucket_members(cz: &[u32], num_coarse: usize, parallel: bool) -> (Vec<u32>, V
     let mut members = vec![0u32; cz.len()];
     {
         let writer = SharedWriter::new(&mut members);
-        ranges
-            .into_par_iter()
-            .zip(hists.par_iter_mut())
-            .for_each(|(r, cursor)| {
-                for u in r {
-                    let slot = &mut cursor[cz[u] as usize];
-                    // SAFETY: cursor ranges are disjoint across chunks and
-                    // coarse ids by construction of the prefix sums.
-                    unsafe { writer.write(*slot as usize, u as u32) };
-                    *slot += 1;
-                }
-            });
+        let jobs: Vec<_> = ranges.into_iter().zip(&mut hists).collect();
+        pool.map(jobs, |(r, cursor)| {
+            for u in r {
+                let slot = &mut cursor[cz[u] as usize];
+                // SAFETY: cursor ranges are disjoint across chunks and
+                // coarse ids by construction of the prefix sums.
+                unsafe { writer.write(*slot as usize, u as u32) };
+                *slot += 1;
+            }
+        });
     }
     (offsets, members)
 }
@@ -338,13 +333,11 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
     let (fine_to_coarse, num_coarse) = dense_relabel(zeta, n, parallel);
 
     // Coarse assignment per fine vertex.
+    let relabel = |&c: &u32| fine_to_coarse[c as usize];
     let cz: Vec<u32> = if parallel {
-        zeta.par_iter()
-            .with_min_len(MIN_CHUNK)
-            .map(|&c| fine_to_coarse[c as usize])
-            .collect()
+        concat_chunks(n, MIN_CHUNK, |r| zeta[r].iter().map(relabel).collect())
     } else {
-        zeta.iter().map(|&c| fine_to_coarse[c as usize]).collect()
+        zeta.iter().map(relabel).collect()
     };
 
     let (offsets, members) = bucket_members(&cz, num_coarse, parallel);
@@ -361,20 +354,19 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
         // coarse vertex would hand that whole hub row plus a tail of others
         // to a single worker. Weighted ranges cut the worklist so a heavy
         // row sits alone in its own range.
-        let row_cost: Vec<u64> = (0..num_coarse)
-            .into_par_iter()
-            .map(|cu| {
+        let row_cost: Vec<u64> = concat_chunks(num_coarse, 1, |rows| {
+            rows.map(|cu| {
                 let r = offsets[cu] as usize..offsets[cu + 1] as usize;
                 members[r].iter().map(|&u| g.degree(u) as u64 + 1).sum()
             })
-            .collect();
-        // Oversubscribe 4x so the ranges between heavy rows still spread.
-        let chunks = rayon::current_num_threads() * 4;
-        let ranges = chunk_ranges_weighted(num_coarse, chunks, |cu| row_cost[cu]);
-        ranges
-            .par_iter()
-            .map(|range| RowBuilder::new(num_coarse).rows(&fine, range.clone()))
             .collect()
+        });
+        // Oversubscribe 4x so the ranges between heavy rows still spread.
+        let pool = gp_par::current();
+        let ranges = chunk_ranges_weighted(num_coarse, pool.threads() * 4, |cu| row_cost[cu]);
+        pool.map(ranges, |range| {
+            RowBuilder::new(num_coarse).rows(&fine, range)
+        })
     } else {
         vec![RowBuilder::new(num_coarse).rows(&fine, 0..num_coarse)]
     };
@@ -395,7 +387,9 @@ pub fn coarsen(g: &Csr, zeta: &[u32]) -> Coarsened {
 pub fn project(zeta: &[u32], fine_to_coarse: &[u32], coarse_zeta: &[u32]) -> Vec<u32> {
     let lift = |&c: &u32| coarse_zeta[fine_to_coarse[c as usize] as usize];
     if fan_out(zeta.len()) {
-        zeta.par_iter().with_min_len(MIN_CHUNK).map(lift).collect()
+        concat_chunks(zeta.len(), MIN_CHUNK, |r| {
+            zeta[r].iter().map(lift).collect()
+        })
     } else {
         zeta.iter().map(lift).collect()
     }
@@ -545,6 +539,20 @@ mod tests {
         assert_eq!(c.graph.xadj(), reference.xadj());
         assert_eq!(c.graph.adj(), reference.adj());
         assert_eq!(c.graph.weights(), reference.weights());
+    }
+
+    #[test]
+    fn parallel_relabel_numbers_ids_by_first_occurrence() {
+        // Community ids first occur in descending id order (and each id
+        // recurs later), so numbering by id would differ from numbering by
+        // first occurrence.
+        let n = super::PARALLEL_THRESHOLD + 100;
+        let k = 5003u32;
+        let zeta: Vec<u32> = (0..n as u32).map(|i| k - 1 - i % k).collect();
+        let serial = dense_relabel(&zeta, n, false);
+        assert_eq!(serial.0[(k - 1) as usize], 0);
+        let parallel = with_threads(4, || dense_relabel(&zeta, n, true));
+        assert_eq!(parallel, serial);
     }
 
     #[test]

@@ -74,8 +74,9 @@ impl Variant {
 pub struct LouvainConfig {
     /// Implementation to use.
     pub variant: Variant,
-    /// Move vertices with rayon parallelism (PLM's optimistic racing);
-    /// `false` gives the deterministic sequential schedule.
+    /// Move vertices in parallel on the current `gp-par` pool (PLM's
+    /// optimistic racing); `false` gives the deterministic sequential
+    /// schedule.
     pub parallel: bool,
     /// Cap on move-phase sweeps; PLM stops after 25 "whether communities
     /// have converged or not".

@@ -1,5 +1,5 @@
 //! Concurrency stress: run the speculative/optimistic parallel algorithms
-//! on an explicit many-thread rayon pool (oversubscribing the host's cores)
+//! on an explicit many-thread `gp-par` pool (oversubscribing the host's cores)
 //! so the benign races the paper's algorithms are designed around actually
 //! fire — and verify every safety invariant still holds.
 
@@ -12,11 +12,8 @@ use gp_graph::generators::{erdos_renyi, planted_partition, preferential_attachme
 use gp_metrics::telemetry::NoopRecorder;
 use gp_simd::backend::Emulated;
 
-fn pool() -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build()
-        .expect("pool")
+fn pool() -> gp_par::Pool {
+    gp_par::cached(8)
 }
 
 /// True when `GP_PAR_SEQ=1` forces every pool inline — the stress tests
@@ -29,7 +26,6 @@ fn real_concurrency() -> bool {
 #[test]
 fn shared_writer_disjoint_scatter_under_real_pool() {
     use gp_graph::par::SharedWriter;
-    use rayon::prelude::*;
 
     // A permuted disjoint scatter, repeated: every index written exactly
     // once per run from whichever worker claims it. Any double-write or
@@ -46,9 +42,11 @@ fn shared_writer_disjoint_scatter_under_real_pool() {
         for run in 0..4u64 {
             let mut out = vec![u64::MAX; n];
             let writer = SharedWriter::new(&mut out);
-            perm.par_iter().with_min_len(256).enumerate().for_each(|(i, &p)| {
-                // Each destination `p` is hit by exactly one source `i`.
-                unsafe { writer.write(p, (i as u64) ^ (run << 32)) };
+            gp_par::current().for_each_range(n, 256, |r| {
+                for i in r {
+                    // Each destination `perm[i]` is hit by exactly one source `i`.
+                    unsafe { writer.write(perm[i], (i as u64) ^ (run << 32)) };
+                }
             });
             for (i, &p) in perm.iter().enumerate() {
                 assert_eq!(out[p], (i as u64) ^ (run << 32), "run {run} index {i}");

@@ -4,7 +4,8 @@
 //! parallel edges, the NetworKit convention), and counting-sorts edges into
 //! CSR in O(|V| + |E|).
 //!
-//! Every pass is rayon-parallel and **thread-count invariant**:
+//! Every pass runs on the current [`gp_par`] pool and is **thread-count
+//! invariant**:
 //!
 //! * canonicalize and validate run as a parallel map;
 //! * dedup first orders the canonical edges by `(u, v)` with a stable LSD
@@ -24,12 +25,11 @@
 //! `v`. Only [`DedupPolicy::KeepAll`] sorts rows afterwards.
 
 use crate::csr::Csr;
-use crate::par::{chunk_count, chunk_ranges, SharedWriter};
+use crate::par::{chunk_count, chunk_ranges, split_lengths, SharedWriter};
 use crate::{Edge, VertexId, Weight};
-use rayon::prelude::*;
 
 /// Below this many staged edges the build runs the cheap serial path (the
-/// parallel path produces identical bytes; this only avoids rayon overhead
+/// parallel path produces identical bytes; this only avoids pool overhead
 /// on the thousands of tiny graphs the test suite builds).
 pub(crate) const PARALLEL_THRESHOLD: usize = 1 << 14;
 
@@ -105,7 +105,7 @@ impl GraphBuilder {
     /// Builds the CSR: symmetrize, dedup per policy, counting-sort.
     ///
     /// Deterministic: the output bytes depend only on the staged edges and
-    /// the dedup policy, never on the rayon pool size (see the module docs
+    /// the dedup policy, never on the pool size (see the module docs
     /// for how each parallel pass preserves the serial edge order).
     pub fn build(self) -> Csr {
         let n = self.n;
@@ -124,7 +124,9 @@ impl GraphBuilder {
             (e.u, e.v) = (e.u.min(e.v), e.u.max(e.v));
         };
         if parallel {
-            edges.par_iter_mut().with_min_len(MIN_CHUNK).for_each(canonicalize);
+            let chunks = gp_par::split_ranges(edges.len(), MIN_CHUNK);
+            let parts = split_lengths(&mut edges, chunks.iter().map(|r| r.len()));
+            gp_par::current().map(parts, |part| part.iter_mut().for_each(&canonicalize));
         } else {
             edges.iter_mut().for_each(canonicalize);
         }
@@ -183,21 +185,19 @@ where
         1
     };
     let ranges = chunk_ranges(len, chunks);
+    let pool = gp_par::current();
     let mut src = items;
     let mut dst: Vec<T> = Vec::with_capacity(len);
     for pass in 0..passes {
         let shift = pass * digit_bits;
         let digit = |x: &T| ((key(x) >> shift) as usize) & (radix - 1);
-        let mut hists: Vec<Vec<usize>> = ranges
-            .par_iter()
-            .map(|r| {
-                let mut h = vec![0usize; radix];
-                for x in &src[r.clone()] {
-                    h[digit(x)] += 1;
-                }
-                h
-            })
-            .collect();
+        let mut hists: Vec<Vec<usize>> = pool.map(ranges.clone(), |r| {
+            let mut h = vec![0usize; radix];
+            for x in &src[r] {
+                h[digit(x)] += 1;
+            }
+            h
+        });
         let mut next = 0;
         for d in 0..radix {
             for h in hists.iter_mut() {
@@ -209,18 +209,16 @@ where
         dst.clear();
         {
             let out = SharedWriter::new(&mut dst.spare_capacity_mut()[..len]);
-            ranges
-                .par_iter()
-                .zip(hists.par_iter_mut())
-                .for_each(|(r, cursor)| {
-                    for x in &src[r.clone()] {
-                        let c = &mut cursor[digit(x)];
-                        // SAFETY: the prefix sums give every (chunk, digit)
-                        // pair its own slots, covering `0..len` exactly once.
-                        unsafe { out.write(*c, std::mem::MaybeUninit::new(*x)) };
-                        *c += 1;
-                    }
-                });
+            let jobs: Vec<_> = ranges.iter().zip(&mut hists).collect();
+            pool.map(jobs, |(r, cursor)| {
+                for x in &src[r.clone()] {
+                    let c = &mut cursor[digit(x)];
+                    // SAFETY: the prefix sums give every (chunk, digit)
+                    // pair its own slots, covering `0..len` exactly once.
+                    unsafe { out.write(*c, std::mem::MaybeUninit::new(*x)) };
+                    *c += 1;
+                }
+            });
         }
         // SAFETY: the scatter above initialized all `len` slots.
         unsafe { dst.set_len(len) };
@@ -279,15 +277,9 @@ fn dedup_sorted(mut edges: Vec<Edge>, policy: DedupPolicy, parallel: bool) -> Ve
             starts.push(s);
         }
     }
-    let mut parts: Vec<&mut [Edge]> = Vec::with_capacity(starts.len());
-    let mut rest: &mut [Edge] = &mut edges;
-    for w in starts.windows(2) {
-        let (part, tail) = rest.split_at_mut(w[1] - w[0]);
-        parts.push(part);
-        rest = tail;
-    }
-    parts.push(rest);
-    let kept: Vec<usize> = parts.into_par_iter().map(merge_runs).collect();
+    let ends = starts.iter().skip(1).copied().chain([edges.len()]);
+    let lens = starts.iter().zip(ends).map(|(s, e)| e - s);
+    let kept = gp_par::current().map(split_lengths(&mut edges, lens), merge_runs);
     let mut len = 0;
     for (&start, &k) in starts.iter().zip(&kept) {
         edges.copy_within(start..start + k, len);
@@ -312,21 +304,19 @@ fn counting_sort_csr(
         1
     };
     let ranges = chunk_ranges(edges.len(), chunks);
+    let pool = gp_par::current();
 
     // Pass 1: per-chunk degree histograms.
-    let mut hists: Vec<Vec<u32>> = ranges
-        .par_iter()
-        .map(|r| {
-            let mut degree = vec![0u32; n];
-            for e in &edges[r.clone()] {
-                degree[e.u as usize] += 1;
-                if e.u != e.v {
-                    degree[e.v as usize] += 1;
-                }
+    let mut hists: Vec<Vec<u32>> = pool.map(ranges.clone(), |r| {
+        let mut degree = vec![0u32; n];
+        for e in &edges[r] {
+            degree[e.u as usize] += 1;
+            if e.u != e.v {
+                degree[e.v as usize] += 1;
             }
-            degree
-        })
-        .collect();
+        }
+        degree
+    });
 
     // Prefix sums: global offsets, then per-chunk start cursors (in-place:
     // hists[c][v] becomes the first slot chunk c writes for vertex v).
@@ -348,29 +338,27 @@ fn counting_sort_csr(
     {
         let adj_w = SharedWriter::new(&mut adj);
         let wgt_w = SharedWriter::new(&mut weights);
-        ranges
-            .into_par_iter()
-            .zip(hists.par_iter_mut())
-            .for_each(|(r, cursor)| {
-                for e in &edges[r] {
-                    let c = &mut cursor[e.u as usize];
-                    // SAFETY: cursor ranges are disjoint across chunks and
-                    // vertices by construction of the prefix sums.
+        let jobs: Vec<_> = ranges.into_iter().zip(&mut hists).collect();
+        pool.map(jobs, |(r, cursor)| {
+            for e in &edges[r] {
+                let c = &mut cursor[e.u as usize];
+                // SAFETY: cursor ranges are disjoint across chunks and
+                // vertices by construction of the prefix sums.
+                unsafe {
+                    adj_w.write(*c as usize, e.v);
+                    wgt_w.write(*c as usize, e.w);
+                }
+                *c += 1;
+                if e.u != e.v {
+                    let c = &mut cursor[e.v as usize];
                     unsafe {
-                        adj_w.write(*c as usize, e.v);
+                        adj_w.write(*c as usize, e.u);
                         wgt_w.write(*c as usize, e.w);
                     }
                     *c += 1;
-                    if e.u != e.v {
-                        let c = &mut cursor[e.v as usize];
-                        unsafe {
-                            adj_w.write(*c as usize, e.u);
-                            wgt_w.write(*c as usize, e.w);
-                        }
-                        *c += 1;
-                    }
                 }
-            });
+            }
+        });
     }
     (xadj, adj, weights)
 }

@@ -5,12 +5,24 @@
 //! (so 16 neighbors load with one `vmovdqu32`), and `weights` mirrors `adj`
 //! one-to-one (so the corresponding edge weights load with one `vmovups`).
 
+use crate::par::split_lengths;
 use crate::{VertexId, Weight};
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Arrays below this length are validated/sorted serially (identical
-/// results; avoids rayon overhead on the tiny graphs tests build).
+/// results; avoids pool overhead on the tiny graphs tests build).
 const PARALLEL_THRESHOLD: usize = 1 << 15;
+
+/// True when `ok` holds on every chunk of `0..len`. With `parallel`, the
+/// chunks are [`gp_par::split_ranges`]`(len, 1)`, checked on the current
+/// pool; otherwise `0..len` is one chunk.
+fn all_chunks(len: usize, parallel: bool, ok: impl Fn(Range<usize>) -> bool + Sync) -> bool {
+    let min_chunk = if parallel { 1 } else { len };
+    gp_par::current()
+        .map(gp_par::split_ranges(len, min_chunk), ok)
+        .into_iter()
+        .all(|b| b)
+}
 
 /// An undirected weighted graph in CSR form.
 ///
@@ -43,25 +55,22 @@ impl Csr {
         );
         assert_eq!(adj.len(), weights.len(), "weights must mirror adj");
         let n = (xadj.len() - 1) as u32;
-        if adj.len() >= PARALLEL_THRESHOLD {
-            assert!(
-                xadj.par_windows(2).all(|w| w[0] <= w[1]),
-                "xadj must be non-decreasing"
-            );
-            assert!(
-                adj.par_iter().all(|&v| v < n),
-                "neighbor ids must be < num_vertices"
-            );
-        } else {
-            assert!(
-                xadj.windows(2).all(|w| w[0] <= w[1]),
-                "xadj must be non-decreasing"
-            );
-            assert!(
-                adj.iter().all(|&v| v < n),
-                "neighbor ids must be < num_vertices"
-            );
-        }
+        let parallel = adj.len() >= PARALLEL_THRESHOLD;
+        // Folds without an early exit, so the checks vectorize.
+        let ascending = |r: Range<usize>| {
+            xadj[r.start..=r.end]
+                .windows(2)
+                .fold(true, |ok, w| ok & (w[0] <= w[1]))
+        };
+        assert!(
+            all_chunks(n as usize, parallel, ascending),
+            "xadj must be non-decreasing"
+        );
+        let in_range = |r: Range<usize>| adj[r].iter().fold(true, |ok, &v| ok & (v < n));
+        assert!(
+            all_chunks(adj.len(), parallel, in_range),
+            "neighbor ids must be < num_vertices"
+        );
         Csr { xadj, adj, weights }
     }
 
@@ -259,33 +268,24 @@ impl Csr {
                 }
             }
         };
-        if self.adj.len() >= PARALLEL_THRESHOLD {
-            // Split the flat arrays into disjoint per-vertex slices.
-            let mut slices: Vec<(&mut [VertexId], &mut [Weight])> = Vec::with_capacity(n);
-            let mut adj_rest: &mut [VertexId] = &mut self.adj;
-            let mut w_rest: &mut [Weight] = &mut self.weights;
-            for u in 0..n {
-                let len = (self.xadj[u + 1] - self.xadj[u]) as usize;
-                let (a, ar) = adj_rest.split_at_mut(len);
-                let (w, wr) = w_rest.split_at_mut(len);
-                adj_rest = ar;
-                w_rest = wr;
-                slices.push((a, w));
+        // Rows go in chunks of at least 256 on the current pool; below the
+        // threshold all rows are one chunk, sorted inline.
+        let min_rows = if self.adj.len() >= PARALLEL_THRESHOLD { 256 } else { n };
+        let ranges = gp_par::split_ranges(n, min_rows);
+        let xadj = &self.xadj;
+        let arcs = || ranges.iter().map(|r| (xadj[r.end] - xadj[r.start]) as usize);
+        let parts: Vec<_> = ranges
+            .iter()
+            .zip(split_lengths(&mut self.adj, arcs()))
+            .zip(split_lengths(&mut self.weights, arcs()))
+            .collect();
+        gp_par::current().map(parts, |((rows, adj), weights)| {
+            let base = xadj[rows.start];
+            for u in rows.clone() {
+                let (lo, hi) = ((xadj[u] - base) as usize, (xadj[u + 1] - base) as usize);
+                sort_list(&mut adj[lo..hi], &mut weights[lo..hi]);
             }
-            slices
-                .into_par_iter()
-                .with_min_len(256)
-                .for_each(|(a, w)| sort_list(a, w));
-        } else {
-            for u in 0..n {
-                let lo = self.xadj[u] as usize;
-                let hi = self.xadj[u + 1] as usize;
-                let (a, w) = (&mut self.adj[lo..hi], &mut self.weights[lo..hi]);
-                // Split borrows: `sort_list` cannot take two overlapping
-                // `&mut self` ranges, so reborrow per vertex.
-                sort_list(a, w);
-            }
-        }
+        });
     }
 
     /// Approximate heap footprint in bytes, used by the OVPL memory reports.

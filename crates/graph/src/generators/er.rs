@@ -17,10 +17,10 @@
 use super::rmat::SAMPLE_CHUNK;
 use crate::builder::{bits, radix_sort_by_key, DedupPolicy, GraphBuilder, PARALLEL_THRESHOLD};
 use crate::csr::Csr;
+use crate::par::concat_chunks;
 use crate::Edge;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::collections::BTreeSet;
 
 /// An undirected G(n, m) random graph (m distinct non-loop edges), sampled
@@ -37,24 +37,25 @@ pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Csr {
 
     // Parallel phase: sample `m` canonical non-loop pairs in fixed-size
     // blocks, one RNG stream each. Block layout depends only on `m`.
-    let sampled: Vec<Vec<u64>> = (0..m.div_ceil(SAMPLE_CHUNK))
-        .into_par_iter()
-        .map(|block| {
+    let sampled = concat_chunks(m.div_ceil(SAMPLE_CHUNK), 1, |blocks| {
+        let samples = m.min(blocks.end * SAMPLE_CHUNK) - blocks.start * SAMPLE_CHUNK;
+        let mut out = Vec::with_capacity(samples);
+        for block in blocks {
             let quota = SAMPLE_CHUNK.min(m - block * SAMPLE_CHUNK);
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             rng.set_stream(block as u64);
-            let mut out = Vec::with_capacity(quota);
-            while out.len() < quota {
+            let end = out.len() + quota;
+            while out.len() < end {
                 let u = rng.gen_range(0..n as u32);
                 let v = rng.gen_range(0..n as u32);
                 if u != v {
                     out.push(key(u, v));
                 }
             }
-            out
-        })
-        .collect();
-    let mut keys = radix_sort_by_key(sampled.concat(), 2 * b, |&k| k, m >= PARALLEL_THRESHOLD);
+        }
+        out
+    });
+    let mut keys = radix_sort_by_key(sampled, 2 * b, |&k| k, m >= PARALLEL_THRESHOLD);
     keys.dedup();
 
     // Serial top-up on a reserved stream to restore the exact-m contract

@@ -30,7 +30,6 @@ use crate::par::{chunk_count, chunk_ranges_weighted};
 use crate::Edge;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Samples per RNG stream. Fixed (not thread-count-derived) so the sampled
 /// edge multiset is identical for any parallelism.
@@ -196,24 +195,21 @@ pub fn rmat(cfg: RmatConfig) -> Csr {
     // sample quota — the tail block can be nearly empty, so splitting by
     // block count would strand a worker on it (see module docs).
     let ranges = chunk_ranges_weighted(blocks, chunk_count(blocks, 1), |b| quota(b) as u64);
-    let sampled: Vec<Vec<Edge>> = ranges
-        .par_iter()
-        .map(|range| {
-            let samples: usize = range.clone().map(quota).sum();
-            let mut out = Vec::with_capacity(samples);
-            for block in range.clone() {
-                let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-                rng.set_stream(block as u64);
-                for _ in 0..quota(block) {
-                    let (u, v) = sample_edge(&cfg, &fixed, &mut rng);
-                    if u != v {
-                        out.push(Edge::unweighted(u, v));
-                    }
+    let sampled: Vec<Vec<Edge>> = gp_par::current().map(ranges, |range| {
+        let samples: usize = range.clone().map(quota).sum();
+        let mut out = Vec::with_capacity(samples);
+        for block in range {
+            let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+            rng.set_stream(block as u64);
+            for _ in 0..quota(block) {
+                let (u, v) = sample_edge(&cfg, &fixed, &mut rng);
+                if u != v {
+                    out.push(Edge::unweighted(u, v));
                 }
             }
-            out
-        })
-        .collect();
+        }
+        out
+    });
 
     let mut builder = GraphBuilder::new(n).dedup_policy(DedupPolicy::KeepMax);
     for chunk in sampled {

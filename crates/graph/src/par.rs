@@ -3,18 +3,24 @@
 //! Every parallel pass in this crate (and in `gp-core`'s coarsening) is
 //! written so that its *output is a pure function of its input* — thread
 //! count, chunk count, and scheduling order never leak into the produced
-//! bytes. The helpers here make that discipline convenient:
+//! bytes. The passes run on the [`gp_par`] pool; the helpers here make that
+//! discipline convenient:
 //!
-//! * [`with_threads`] — run a closure inside a scoped rayon pool of an exact
-//!   size (the `--threads` / `GP_THREADS` knob);
+//! * [`with_threads`] — run a closure with a cached pool of an exact size
+//!   made current (the `--threads` / `GP_THREADS` knob);
 //! * [`threads_from_env`] — read the `GP_THREADS` override;
 //! * [`chunk_count`] — the standard "how many parallel chunks" policy
 //!   (output-invariant: chunking only moves work between threads, never
 //!   changes result bytes);
+//! * [`concat_chunks`] / [`split_lengths`] — element-wise passes over
+//!   [`gp_par::split_ranges`] chunks, producing a new vector or mutating
+//!   disjoint sub-slices;
 //! * [`SharedWriter`] — unsafe-but-audited disjoint scatter into a shared
 //!   output buffer, the primitive behind the two-pass parallel counting
 //!   sorts (per-chunk histograms + prefix sums hand every chunk a set of
 //!   write positions no other chunk touches).
+
+use std::ops::Range;
 
 /// Reads the `GP_THREADS` environment override (`0` or unset → use the
 /// default global pool).
@@ -25,32 +31,28 @@ pub fn threads_from_env() -> Option<usize> {
         .filter(|&t| t > 0)
 }
 
-/// Runs `f` inside a scoped rayon thread pool with exactly `threads` worker
-/// threads. `threads == 0` runs `f` on the ambient (global) pool.
+/// Runs `f` with a pool of exactly `threads` worker threads made current
+/// ([`gp_par::cached`], then [`gp_par::Pool::install`]). `threads == 0`
+/// runs `f` on the ambient pool.
 ///
-/// Pools are **cached per thread count** for the lifetime of the process
-/// (`ThreadPoolBuilder::build` resolves to `gp_par::cached`), so calling
-/// this in a loop — as `gp-serve` does per request and the bench bins do
-/// per repetition — reuses one pool per size instead of spawning and
-/// tearing down OS threads on every call. The pool-reuse regression test
-/// below pins this.
+/// Pools are **cached per thread count** for the lifetime of the process,
+/// so calling this in a loop — as `gp-serve` does per request and the bench
+/// bins do per repetition — reuses one pool per size instead of spawning
+/// and tearing down OS threads on every call. The pool-reuse regression
+/// test below pins this.
 ///
 /// Substrate passes are deterministic regardless of pool size, so this knob
 /// trades wall-clock only — outputs are bit-identical for any `threads`.
-pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     if threads == 0 {
         return f();
     }
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build scoped rayon pool")
-        .install(f)
+    gp_par::cached(threads).install(f)
 }
 
 /// Number of parallel chunks for a pass over `len` items: one chunk per
-/// worker thread, but never chunks smaller than `min_chunk` items (small
-/// inputs collapse to a single chunk and run serially inside rayon).
+/// thread of the current pool, but never chunks smaller than `min_chunk`
+/// items (small inputs collapse to a single chunk and run serially).
 ///
 /// Callers must only use the chunk count to *partition work*; per-chunk
 /// results are always combined in chunk order, so the returned value can
@@ -59,9 +61,41 @@ pub fn chunk_count(len: usize, min_chunk: usize) -> usize {
     if len == 0 {
         return 1;
     }
-    let by_threads = rayon::current_num_threads().max(1);
+    let by_threads = gp_par::current().threads();
     let by_size = len.div_ceil(min_chunk.max(1));
     by_threads.min(by_size).max(1)
+}
+
+/// Runs `f` on every chunk of [`gp_par::split_ranges`]`(len, min_chunk)`
+/// on the current pool and concatenates the per-chunk outputs in chunk
+/// order, so the result never depends on the pool size.
+pub fn concat_chunks<U: Send>(
+    len: usize,
+    min_chunk: usize,
+    f: impl Fn(Range<usize>) -> Vec<U> + Sync,
+) -> Vec<U> {
+    let parts = gp_par::current().map(gp_par::split_ranges(len, min_chunk), f);
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Cuts `slice` into consecutive disjoint sub-slices of the given lengths,
+/// so a pass can hand each chunk's `&mut` piece to its own job. The lengths
+/// must not add up to more than `slice.len()`.
+pub fn split_lengths<T>(
+    mut slice: &mut [T],
+    lens: impl IntoIterator<Item = usize>,
+) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (head, tail) = std::mem::take(&mut slice).split_at_mut(len);
+            slice = tail;
+            head
+        })
+        .collect()
 }
 
 /// Splits `0..len` into at most `chunks` near-equal contiguous ranges.
@@ -70,7 +104,7 @@ pub fn chunk_count(len: usize, min_chunk: usize) -> usize {
 /// fill (e.g. `len = 5, chunks = 9`), the surplus trailing ranges are
 /// trimmed instead of being emitted as degenerate `5..5` entries that
 /// callers would schedule as no-op jobs. `len == 0` returns no ranges.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
+pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
     let chunks = chunks.max(1);
     let per = len.div_ceil(chunks).max(1);
     (0..chunks)
@@ -99,7 +133,7 @@ pub fn chunk_ranges_weighted(
     len: usize,
     chunks: usize,
     weight: impl Fn(usize) -> u64,
-) -> Vec<std::ops::Range<usize>> {
+) -> Vec<Range<usize>> {
     let chunks = chunks.max(1);
     if len == 0 {
         return Vec::new();
@@ -131,7 +165,7 @@ pub fn chunk_ranges_weighted(
 /// positions (per-chunk histograms + prefix sums); the scatter pass then
 /// writes from all chunks concurrently. Rust's borrow checker cannot see
 /// that the position sets are disjoint, so this wrapper carries the raw
-/// pointer across the rayon closure boundary.
+/// pointer into the pool's jobs.
 ///
 /// # Safety contract
 /// Callers of [`SharedWriter::write`] must guarantee that no index is
@@ -170,20 +204,23 @@ impl<'a, T> SharedWriter<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+
+    fn current_threads() -> usize {
+        gp_par::current().threads()
+    }
 
     #[test]
     fn with_threads_scopes_pool_size() {
         for t in [1usize, 2, 4] {
-            let inside = with_threads(t, rayon::current_num_threads);
+            let inside = with_threads(t, current_threads);
             assert_eq!(inside, t);
         }
     }
 
     #[test]
     fn with_threads_zero_uses_ambient_pool() {
-        let ambient = rayon::current_num_threads();
-        assert_eq!(with_threads(0, rayon::current_num_threads), ambient);
+        let ambient = current_threads();
+        assert_eq!(with_threads(0, current_threads), ambient);
     }
 
     #[test]
@@ -238,7 +275,7 @@ mod tests {
         }
     }
 
-    fn assert_exact_cover(ranges: &[std::ops::Range<usize>], len: usize) {
+    fn assert_exact_cover(ranges: &[Range<usize>], len: usize) {
         let mut covered = 0;
         for r in ranges {
             assert!(r.start < r.end, "empty range {r:?}");
@@ -312,6 +349,24 @@ mod tests {
     }
 
     #[test]
+    fn concat_chunks_keeps_chunk_order_on_any_pool() {
+        let squares = || concat_chunks(10_000, 100, |r| r.map(|i| i * i).collect());
+        let want: Vec<usize> = (0..10_000).map(|i| i * i).collect();
+        for t in [1usize, 4] {
+            assert_eq!(with_threads(t, squares), want, "threads {t}");
+        }
+        assert!(concat_chunks(0, 100, |r| r.collect()).is_empty());
+    }
+
+    #[test]
+    fn split_lengths_cuts_consecutive_pieces() {
+        let mut v: Vec<u32> = (0..10).collect();
+        let pieces = split_lengths(&mut v, [3, 0, 5]);
+        let got: Vec<Vec<u32>> = pieces.iter().map(|p| p.to_vec()).collect();
+        assert_eq!(got, vec![vec![0, 1, 2], vec![], vec![3, 4, 5, 6, 7]]);
+    }
+
+    #[test]
     fn chunk_count_respects_min_chunk() {
         assert_eq!(chunk_count(0, 1024), 1);
         assert_eq!(chunk_count(100, 1024), 1);
@@ -322,9 +377,11 @@ mod tests {
     fn shared_writer_disjoint_scatter() {
         let mut out = vec![0u32; 1000];
         let writer = SharedWriter::new(&mut out);
-        (0..1000usize).into_par_iter().for_each(|i| {
-            // Each index written exactly once — the safety contract.
-            unsafe { writer.write(i, (i as u32) * 2) };
+        gp_par::current().for_each_range(1000, 1, |r| {
+            for i in r {
+                // Each index written exactly once — the safety contract.
+                unsafe { writer.write(i, (i as u32) * 2) };
+            }
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32 * 2));
     }

@@ -6,14 +6,14 @@
 //! * [`Pool::new`] — a pool with an **exact** worker-thread count;
 //! * [`Pool::scope`] / [`Scope::spawn`] — structured fork/join with borrowed
 //!   data (all spawned jobs complete before `scope` returns);
-//! * [`Pool::join`] — binary fork/join, the primitive under parallel sorts;
-//! * [`Pool::for_each_range`] — the chunked bridge used by the
-//!   `rayon`-compatible shim in `.devstubs/rayon` and by the kernel sweep
-//!   executors;
+//! * [`Pool::join`] — binary fork/join;
+//! * [`Pool::for_each_range`] — run a closure on every chunk of `0..len`;
+//! * [`Pool::map`] — one job per item, results in item order: how the
+//!   substrate runs its pre-cut range lists and per-chunk passes;
 //! * [`split_ranges`] — the **thread-count-independent** chunk decomposition
-//!   every bridge uses, so that any per-chunk computation (and any ordered
-//!   combination of per-chunk results) is a pure function of the input
-//!   length, never of the pool size;
+//!   every chunked pass uses, so that any per-chunk computation (and any
+//!   ordered combination of per-chunk results) is a pure function of the
+//!   input length, never of the pool size;
 //! * [`global`] / [`cached`] / [`current`] / [`Pool::install`] — pool
 //!   discovery and process-lifetime caching.
 //!
@@ -32,22 +32,21 @@
 //! function of its inputs (see `docs/PARALLELISM.md`):
 //!
 //! 1. chunk decomposition depends only on `(len, min_len)` ([`split_ranges`]);
-//! 2. bridges combine per-chunk results **in chunk order**;
+//! 2. callers combine per-chunk results **in chunk order** ([`Pool::map`]
+//!    returns them that way);
 //! 3. a pool whose thread count is ≤ 1 executes everything inline on the
-//!    caller, in submission order — byte-for-byte the semantics of the old
-//!    sequential stub.
+//!    caller, in submission order — the fully sequential schedule.
 //!
 //! The [`global`] pool defaults to **one** thread (override with
-//! `GP_THREADS`), a deliberate deviation from rayon's
-//! all-cores default: parallelism in this workspace is opt-in per the
-//! determinism contract.
+//! `GP_THREADS`), not one per core: parallelism in this workspace is
+//! opt-in per the determinism contract.
 //!
 //! # `GP_PAR_SEQ=1`
 //!
 //! The escape hatch. When set (read once at first use), every pool runs
 //! inline-sequential regardless of its configured thread count —
 //! `threads()` still reports the configured count, so chunk *accounting*
-//! (e.g. `current_num_threads`-derived decompositions in callers) is
+//! (e.g. `threads()`-derived decompositions in callers) is
 //! unchanged while execution is the old single-threaded path. Used by CI to
 //! keep the sequential fallback green.
 
@@ -63,7 +62,7 @@ use std::time::Duration;
 /// Upper bound on the number of chunks [`split_ranges`] will produce.
 ///
 /// Bounding the chunk count makes per-chunk state (scratch buffers,
-/// `for_each_init` inits) O(1) in the input size while still giving an
+/// histograms) O(1) in the input size while still giving an
 /// 8-thread pool 8× oversubscription for load balancing.
 pub const MAX_CHUNKS: usize = 64;
 
@@ -310,7 +309,7 @@ impl Pool {
         (ra, rb.expect("join: spawned half did not run"))
     }
 
-    /// Chunked bridge: split `0..len` with [`split_ranges`]`(len, min_len)`
+    /// Chunked pass: split `0..len` with [`split_ranges`]`(len, min_len)`
     /// and run `f` on every chunk, fanned out across the pool. The
     /// decomposition is independent of the pool size; only the assignment of
     /// chunks to threads varies.
@@ -328,6 +327,30 @@ impl Pool {
                 s.spawn(move || f(r));
             }
         });
+    }
+
+    /// Run `f` on every item, one job per item, and return the results in
+    /// item order. Inline pools run the items in order on the caller. A
+    /// panicking job is re-thrown once every other job has finished.
+    pub fn map<T, U>(&self, items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+    {
+        if self.is_inline() || items.len() <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let mut out: Vec<Option<U>> = Vec::with_capacity(items.len());
+        out.resize_with(items.len(), || None);
+        let f = &f;
+        self.scope(|s| {
+            for (slot, item) in out.iter_mut().zip(items) {
+                s.spawn(move || *slot = Some(f(item)));
+            }
+        });
+        out.into_iter()
+            .map(|o| o.expect("map: job did not run"))
+            .collect()
     }
 
     /// Make this pool the [`current`] pool for the duration of `f` (on this
@@ -509,8 +532,7 @@ fn default_global_threads() -> usize {
 ///
 /// Sized by the first of: [`set_global_threads`] (if called before first
 /// use), the `GP_THREADS` environment variable, else **1** — the
-/// deterministic-by-default deviation from rayon described in the crate
-/// docs.
+/// deterministic default described in the crate docs.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| {
         let req = GLOBAL_REQUEST.load(Ordering::SeqCst);
@@ -598,7 +620,7 @@ pub fn current() -> Pool {
 }
 
 /// True when `GP_PAR_SEQ=1` (read once per process): every pool runs
-/// inline-sequential, reproducing the pre-`gp-par` stub semantics exactly.
+/// inline-sequential: the fully sequential schedule.
 pub fn sequential_mode() -> bool {
     static SEQ: OnceLock<bool> = OnceLock::new();
     *SEQ.get_or_init(|| {
@@ -741,6 +763,66 @@ mod tests {
     }
 
     #[test]
+    fn map_returns_results_in_item_order() {
+        // Owned items: each is moved into its job exactly once. The
+        // one-thread pool is inline; the others are real unless GP_PAR_SEQ=1.
+        assert!(Pool::new(1).is_inline());
+        let items = |n: usize| (0..n).map(|i| format!("item-{i}")).collect::<Vec<_>>();
+        for threads in [1, 2, 8] {
+            let pool = Pool::new(threads);
+            // More items than MAX_CHUNKS: map never regroups its items.
+            for n in [1usize, 5, MAX_CHUNKS, 3 * MAX_CHUNKS + 7] {
+                let got = pool.map(items(n), |s| s + "!");
+                let want: Vec<String> = items(n).into_iter().map(|s| s + "!").collect();
+                assert_eq!(got, want, "threads={threads} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_of_nothing_is_empty() {
+        for threads in [1, 4] {
+            let out: Vec<u32> = Pool::new(threads).map(Vec::<u32>::new(), |x| x + 1);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn map_rethrows_a_panic_after_the_other_jobs() {
+        let pool = Pool::new(2);
+        let finished = AtomicUsize::new(0);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.map((0..8).collect(), |i: usize| {
+                if i == 0 {
+                    panic!("boom in job 0");
+                }
+                std::thread::sleep(Duration::from_millis(2));
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        assert!(result.is_err());
+        // An inline pool (GP_PAR_SEQ=1) unwinds at job 0, before the rest
+        // run; a real pool runs all seven siblings before re-throwing.
+        let want = if pool.is_inline() { 0 } else { 7 };
+        assert_eq!(finished.load(Ordering::SeqCst), want);
+        let after = pool.map(vec![1, 2], |x| x * 2);
+        assert_eq!(after, vec![2, 4], "pool unusable after a panic");
+    }
+
+    #[test]
+    fn map_jobs_reach_several_threads() {
+        if sequential_mode() {
+            return; // GP_PAR_SEQ=1: every job runs on the caller.
+        }
+        let ids = Pool::new(4).map((0..64).collect(), |_: usize| {
+            std::thread::sleep(Duration::from_millis(2));
+            std::thread::current().id()
+        });
+        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+        assert!(distinct.len() >= 2, "all 64 jobs ran on one thread");
+    }
+
+    #[test]
     fn split_ranges_properties() {
         for len in [0usize, 1, 5, 9, 64, 65, 4096, 1 << 20] {
             for min_len in [0usize, 1, 7, 4096, 1 << 16] {
@@ -804,6 +886,16 @@ mod tests {
         let inner = pool.install(|| current().threads());
         assert_eq!(inner, 7);
         assert_eq!(current().threads(), outer);
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_pool() {
+        let (p2, p5) = (Pool::new(2), Pool::new(5));
+        p2.install(|| {
+            assert_eq!(current().threads(), 2);
+            p5.install(|| assert_eq!(current().threads(), 5));
+            assert_eq!(current().threads(), 2);
+        });
     }
 
     #[test]

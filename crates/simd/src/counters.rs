@@ -2,7 +2,7 @@
 //! models.
 //!
 //! Counts accumulate in global relaxed atomics so counted runs can span
-//! rayon worker threads. Counted runs are for *modeling*, not wall-clock
+//! `gp-par` worker threads. Counted runs are for *modeling*, not wall-clock
 //! timing — the figure harness times the raw backends and models with the
 //! counted ones.
 
