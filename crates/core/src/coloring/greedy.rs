@@ -8,7 +8,7 @@
 
 use super::{ColoringConfig, ColoringResult};
 use crate::frontier::SweepMode;
-use crate::locality::{self, Plan, LOW_MAX_DEGREE};
+use crate::locality::{self, Plan, Traversal, LOW_MAX_DEGREE};
 use gp_graph::csr::Csr;
 use gp_graph::par::concat_chunks;
 use gp_metrics::telemetry::{NoopRecorder, Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
@@ -243,7 +243,7 @@ pub(crate) fn run_iterative_with_detect<R: Recorder>(
     backend: &'static str,
 ) -> ColoringResult {
     let timer = RunTimer::start();
-    let plan = Plan::for_graph(g, config.block, config.bucket);
+    let plan = Plan::for_graph(g, config.block, config.bucket, Traversal::InOrder);
     let n = g.num_vertices();
     let (colors, mut conf): (Vec<AtomicU32>, Vec<u32>) = match &config.warm {
         Some(w) if w.colors.len() == n => {

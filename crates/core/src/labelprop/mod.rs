@@ -13,7 +13,7 @@ pub mod mplp;
 pub mod onlp;
 
 use crate::frontier::{Frontier, SweepMode};
-use crate::locality::{self, Blocking, Bucketing, Plan};
+use crate::locality::{self, Blocking, Bucketing, Plan, Traversal};
 use crate::reduce_scatter::AffinityBuf;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
@@ -114,10 +114,22 @@ pub(crate) fn order_key(seed: u64, iteration: usize, v: u32) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Sorts `vertices` into the sweep-`iteration` traversal order.
-#[inline]
-pub(crate) fn order_vertices(vertices: &mut [u32], seed: u64, iteration: usize) {
-    vertices.sort_unstable_by_key(|&v| (order_key(seed, iteration, v), v));
+/// Sorts `vertices` into the sweep-`iteration` traversal order. Each
+/// vertex's [`order_key`] is hashed once into `keyed` (scratch reused
+/// across sweeps) rather than twice per comparison; `(key, v)` is a total
+/// order, so the result is the same as sorting `vertices` by it in place.
+pub(crate) fn order_vertices(
+    vertices: &mut [u32],
+    seed: u64,
+    iteration: usize,
+    keyed: &mut Vec<(u64, u32)>,
+) {
+    keyed.clear();
+    keyed.extend(vertices.iter().map(|&v| (order_key(seed, iteration, v), v)));
+    keyed.sort_unstable();
+    for (slot, &(_, v)) in vertices.iter_mut().zip(keyed.iter()) {
+        *slot = v;
+    }
 }
 
 /// Shared sweep driver for MPLP and ONLP: frontier bookkeeping, traversal
@@ -136,7 +148,10 @@ pub(crate) fn order_vertices(vertices: &mut [u32], seed: u64, iteration: usize) 
 /// Sweeps execute through the locality layer ([`crate::locality`]): the
 /// ordered traversal is cut into cache blocks and every eligible vertex
 /// runs `best` against live state in order, so sequential labels are
-/// bit-identical to the unblocked sweep.
+/// bit-identical to the unblocked sweep. The plan is resolved for a
+/// [`Traversal::Shuffled`] sweep, whose rows and label reads are random
+/// accesses, so its prefetch pipeline starts at a smaller footprint than
+/// the in-order kernels'.
 pub(crate) fn run_lp_sweeps<R: Recorder>(
     g: &Csr,
     config: &LabelPropConfig,
@@ -146,7 +161,7 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
 ) -> LabelPropResult {
     let timer = RunTimer::start();
     let n = g.num_vertices();
-    let plan = Plan::for_graph(g, config.block, config.bucket);
+    let plan = Plan::for_graph(g, config.block, config.bucket, Traversal::Shuffled);
     let (labels, mut frontier): (Vec<AtomicU32>, Frontier) = match &config.warm {
         Some(w) if w.labels.len() == n => (
             w.labels.iter().map(|&l| AtomicU32::new(l)).collect(),
@@ -168,6 +183,7 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
     };
 
     let mut order: Vec<u32> = Vec::new();
+    let mut keyed: Vec<(u64, u32)> = Vec::new();
     for iteration in 0..config.max_iterations {
         let active_now = frontier.len() as u64;
         let active_edges = if R::ENABLED || config.count_ops {
@@ -180,7 +196,7 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
             SweepMode::Full => order.extend(0..n as u32),
             SweepMode::Active => order.extend_from_slice(frontier.worklist()),
         }
-        order_vertices(&mut order, config.seed, iteration);
+        order_vertices(&mut order, config.seed, iteration, &mut keyed);
         let probe = RoundProbe::begin::<R>();
         let updated = AtomicU64::new(0);
         let bins = if R::ENABLED {
@@ -305,3 +321,50 @@ impl PartialEq for LabelPropResult {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-comparison sort `order_vertices` replaced: both keys are
+    /// rehashed in every comparison.
+    fn reference_order(vertices: &mut [u32], seed: u64, iteration: usize) {
+        vertices.sort_unstable_by_key(|&v| (order_key(seed, iteration, v), v));
+    }
+
+    #[test]
+    fn ordering_empty_and_single_vertex_sweeps() {
+        let mut keyed = vec![(7, 7)];
+        let mut none: Vec<u32> = Vec::new();
+        order_vertices(&mut none, 1, 0, &mut keyed);
+        assert!(none.is_empty());
+        let mut one = vec![42u32];
+        order_vertices(&mut one, 1, 3, &mut keyed);
+        assert_eq!(one, [42]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hashed_once_order_matches_per_comparison_sort(
+            ids in prop::collection::vec(0u32..5000, 0..400),
+            seed in any::<u64>(),
+            iterations in prop::collection::vec(0usize..200, 1..4),
+        ) {
+            // Distinct vertices, as in a worklist or a full sweep, and one
+            // scratch buffer carried across sweeps, as in a run.
+            let mut subset = ids;
+            subset.sort_unstable();
+            subset.dedup();
+            let mut keyed = Vec::new();
+            for iteration in iterations {
+                let mut got = subset.clone();
+                order_vertices(&mut got, seed, iteration, &mut keyed);
+                let mut want = subset.clone();
+                reference_order(&mut want, seed, iteration);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+}

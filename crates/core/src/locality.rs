@@ -24,13 +24,18 @@
 //!   ([`gp_graph::stats::DegreeHistogram`]) at frontier-build time.
 //!
 //! An engaged plan additionally drives a two-stage software-prefetch
-//! pipeline ahead of the in-order visit point (CSR row at
-//! [`PREFETCH_ROW_AHEAD`], per-neighbor state via the kernels' `warm` hooks
-//! at [`PREFETCH_STATE_AHEAD`]) — the lever that flattens the
+//! pipeline ahead of the visit point (CSR row at [`PREFETCH_ROW_AHEAD`],
+//! per-neighbor state via the kernels' `warm` hooks at
+//! [`PREFETCH_STATE_AHEAD`]) — the lever that flattens the
 //! scale-vs-speedup decay once state gathers start missing the LLC. It
-//! only turns on past a working-set gate ([`PREFETCH_MIN_BYTES`]): below
-//! it everything is cache-resident and the pipeline would be pure
-//! overhead. Prefetch has no memory effects, so it cannot perturb outputs.
+//! only turns on past a working-set gate that depends on the sweep's
+//! [`Traversal`]: an in-order sweep streams its CSR rows and misses only on
+//! state gathers, so it needs the pipeline only past the LLC
+//! ([`PREFETCH_MIN_BYTES_IN_ORDER`]); a shuffled sweep misses on every row
+//! and every state read, and gains well below it
+//! ([`PREFETCH_MIN_BYTES_SHUFFLED`]). Below its gate a sweep's working set
+//! is cache-resident and the pipeline would be pure overhead. Prefetch has
+//! no memory effects, so it cannot perturb outputs.
 //!
 //! ## The bit-identity contract
 //!
@@ -74,14 +79,21 @@ const PREFETCH_STATE_AHEAD: usize = 4;
 /// longer warming than the prefetch distance can hide.
 pub(crate) const WARM_NEIGHBOR_CAP: usize = 64;
 
-/// Working sets below this footprint sit in the last-level cache, where the
-/// software-prefetch pipeline is pure overhead (every prefetched line was
-/// already resident, but the `warm` hook still re-walked the row). The gate
-/// keeps sub-LLC graphs on the plain in-order stream; `GP_PREFETCH=0|1`
-/// forces the pipeline off/on regardless of size (the test knob). 16 MiB
-/// matches the measured knee on the dev host (rmat-16, ~9 MB, loses ~9%
-/// with the pipeline on; rmat-17, ~18 MB, gains with it on).
-const PREFETCH_MIN_BYTES: usize = 16 << 20;
+/// Prefetch gate of in-order sweeps (coloring, PLM/MPLM/ONPL). Below this
+/// footprint an in-order sweep's working set sits in the last-level cache,
+/// where the pipeline is pure overhead: every prefetched line was already
+/// resident, but the `warm` hook still re-walked the row. 16 MiB matches
+/// the measured knee (R-MAT scale 16, ~9 MB, loses ~9% with the pipeline
+/// on; scale 17, ~18 MB, gains with it on).
+const PREFETCH_MIN_BYTES_IN_ORDER: usize = 16 << 20;
+
+/// Prefetch gate of shuffled sweeps (label propagation). A fresh
+/// permutation every sweep makes each CSR row and each label read a random
+/// access, which misses well below the LLC. 6 MiB sits between two
+/// measured graphs: R-MAT scale 16 edge factor 4 (4.8 MiB), where MPLP ran
+/// 1.08× slower with the pipeline, and the delaunay stand-in (7.9 MiB),
+/// where ONLP ran at 0.59–0.77× with it (docs/PERFORMANCE.md).
+const PREFETCH_MIN_BYTES_SHUFFLED: usize = 6 << 20;
 
 /// Best-effort L1 prefetch; compiles to nothing off x86-64.
 #[inline(always)]
@@ -222,6 +234,40 @@ fn budget_to_vertices(g: &Csr, kb: u32) -> usize {
     ((kb as usize).saturating_mul(1024) / bytes_per_vertex).max(1)
 }
 
+/// The order in which a kernel's sweeps visit their vertices. It is a
+/// property of the kernel, not a setting: it picks the prefetch gate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Traversal {
+    /// Ascending vertex order (coloring, PLM/MPLM/ONPL): consecutive rows
+    /// are adjacent in memory, so only the state gathers miss.
+    InOrder,
+    /// A fresh pseudorandom permutation every sweep (MPLP/ONLP): every CSR
+    /// row and every state read is a random access.
+    Shuffled,
+}
+
+/// The prefetch gate: whether an engaged plan runs the two-stage pipeline
+/// for a sweep of `traversal` over a graph of estimated `footprint` bytes.
+/// `forced` is the `GP_PREFETCH=0|1` override (the test knob), which wins
+/// over the footprint for both traversals.
+fn prefetch_gate(traversal: Traversal, footprint: usize, forced: Option<bool>) -> bool {
+    let min_bytes = match traversal {
+        Traversal::InOrder => PREFETCH_MIN_BYTES_IN_ORDER,
+        Traversal::Shuffled => PREFETCH_MIN_BYTES_SHUFFLED,
+    };
+    forced.unwrap_or(footprint > min_bytes)
+}
+
+/// The `GP_PREFETCH=0|1` override of [`prefetch_gate`]; any other value, or
+/// none, leaves the decision to the footprint.
+fn prefetch_override() -> Option<bool> {
+    match std::env::var("GP_PREFETCH") {
+        Ok(v) if v.trim() == "0" => Some(false),
+        Ok(v) if v.trim() == "1" => Some(true),
+        _ => None,
+    }
+}
+
 /// The resolved per-run locality plan: what [`Blocking`]/[`Bucketing`] plus
 /// the graph's degree histogram boil down to. Computed once per kernel run
 /// (per level, for multilevel Louvain) when the first frontier is built.
@@ -234,9 +280,9 @@ pub struct Plan {
     /// Degree at or above which a vertex is scheduled as its own parallel
     /// unit; `u32::MAX` means the graph has no hubs worth singling out.
     pub hub_min: u32,
-    /// Run the two-stage software-prefetch pipeline ahead of the in-order
-    /// stream. On when the plan is engaged *and* the graph's estimated
-    /// footprint exceeds [`PREFETCH_MIN_BYTES`] (or `GP_PREFETCH=1` forces
+    /// Run the two-stage software-prefetch pipeline ahead of the sweep's
+    /// visit point. On when the plan is engaged *and* the graph's estimated
+    /// footprint exceeds its traversal's gate (or `GP_PREFETCH=1` forces
     /// it); prefetch has no memory effects, so this flag never changes
     /// outputs.
     pub prefetch: bool,
@@ -253,11 +299,12 @@ impl Plan {
         }
     }
 
-    /// Resolves the knobs against `g`. The hub threshold is a pure function
+    /// Resolves the knobs against `g` for a kernel whose sweeps visit
+    /// vertices in `traversal` order. The hub threshold is a pure function
     /// of the graph's degree histogram (see
     /// [`DegreeHistogram::hub_threshold`]), so it is identical across
     /// thread counts and sweep modes.
-    pub fn for_graph(g: &Csr, block: Blocking, bucket: Bucketing) -> Plan {
+    pub fn for_graph(g: &Csr, block: Blocking, bucket: Bucketing, traversal: Traversal) -> Plan {
         let block_vertices = match block {
             Blocking::Off => usize::MAX,
             Blocking::Auto => budget_to_vertices(g, DEFAULT_BLOCK_KB),
@@ -272,12 +319,7 @@ impl Plan {
         };
         let engaged = block_vertices != usize::MAX || bucket_on;
         let footprint = 16 * g.num_vertices() + 8 * g.num_arcs();
-        let prefetch = engaged
-            && match std::env::var("GP_PREFETCH") {
-                Ok(v) if v.trim() == "0" => false,
-                Ok(v) if v.trim() == "1" => true,
-                _ => footprint > PREFETCH_MIN_BYTES,
-            };
+        let prefetch = engaged && prefetch_gate(traversal, footprint, prefetch_override());
         Plan {
             block_vertices,
             bucket: bucket_on,
@@ -352,15 +394,15 @@ fn sweep_grain<R: Recorder>(plan: &Plan, len: usize) -> usize {
 }
 
 /// Streams `range` in ascending position order, handing every eligible
-/// vertex to `one` — exactly the plain in-order sweep.
+/// vertex to `one` — exactly the plain sweep.
 ///
-/// When `plan.prefetch` is set (engaged plan, working set past the LLC
-/// gate), a two-stage software-prefetch pipeline runs ahead of the visit
-/// point: the CSR row of the vertex [`PREFETCH_ROW_AHEAD`] positions out is
-/// pulled toward L1, and the kernel's `warm` hook fires for the vertex
-/// [`PREFETCH_STATE_AHEAD`] positions out — it reads the (now resident) row
-/// and prefetches the per-neighbor state words the kernel is about to
-/// gather. Prefetching has no memory effects, so outputs are untouched;
+/// When `plan.prefetch` is set (engaged plan, working set past its
+/// traversal's gate), a two-stage software-prefetch pipeline runs ahead of
+/// the visit point: the CSR row of the vertex [`PREFETCH_ROW_AHEAD`]
+/// positions out is pulled toward L1, and the kernel's `warm` hook fires
+/// for the vertex [`PREFETCH_STATE_AHEAD`] positions out — it reads the
+/// (now resident) row and prefetches the per-neighbor state words the
+/// kernel is about to gather. Prefetching has no memory effects, so outputs are untouched;
 /// `Plan::none()` never prefetches, keeping the unblocked baseline
 /// byte-for-byte the pre-locality execution.
 fn stream_range<B>(
@@ -640,9 +682,12 @@ mod tests {
     #[test]
     fn plan_off_is_none() {
         let g = erdos_renyi(100, 300, 1);
-        let p = Plan::for_graph(&g, Blocking::Off, Bucketing::Off);
-        assert!(p.is_none());
-        assert_eq!(p, Plan::none());
+        for t in [Traversal::InOrder, Traversal::Shuffled] {
+            let p = Plan::for_graph(&g, Blocking::Off, Bucketing::Off, t);
+            assert!(p.is_none());
+            // Not even `GP_PREFETCH=1` turns the pipeline on without a plan.
+            assert_eq!(p, Plan::none());
+        }
     }
 
     #[test]
@@ -650,17 +695,44 @@ mod tests {
         let g = erdos_renyi(1000, 4000, 2);
         for b in [Bucketing::Off, Bucketing::Degree] {
             assert_eq!(
-                Plan::for_graph(&g, Blocking::Auto, b),
-                Plan::for_graph(&g, Blocking::Kb(DEFAULT_BLOCK_KB), b)
+                Plan::for_graph(&g, Blocking::Auto, b, Traversal::InOrder),
+                Plan::for_graph(&g, Blocking::Kb(DEFAULT_BLOCK_KB), b, Traversal::InOrder)
             );
         }
-        let p = Plan::for_graph(&g, Blocking::Kb(64), Bucketing::Degree);
+        let p = Plan::for_graph(&g, Blocking::Kb(64), Bucketing::Degree, Traversal::InOrder);
         // avg arcs/vertex = 8 → 16 + 64 bytes/vertex → 64 KiB / 80 B = 819.
         assert_eq!(p.block_vertices, 64 * 1024 / 80);
         assert!(p.bucket);
-        let p1 = Plan::for_graph(&g, Blocking::Vertices(1), Bucketing::Off);
+        let p1 = Plan::for_graph(&g, Blocking::Vertices(1), Bucketing::Off, Traversal::Shuffled);
         assert_eq!(p1.block_vertices, 1);
         assert!(!p1.bucket);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn in_order_sweeps_prefetch_past_sixteen_mib() {
+        // The kernel-hot R-MAT (14.9 MiB) and an R-MAT at scale 17 (16.8 MiB).
+        assert!(!prefetch_gate(Traversal::InOrder, 15 * MIB, None));
+        assert!(!prefetch_gate(Traversal::InOrder, PREFETCH_MIN_BYTES_IN_ORDER, None));
+        assert!(prefetch_gate(Traversal::InOrder, 17 * MIB, None));
+    }
+
+    #[test]
+    fn shuffled_sweeps_prefetch_past_six_mib() {
+        // R-MAT scale 16 edge factor 4 (4.8 MiB) and the delaunay stand-in
+        // (7.9 MiB), on either side of the gate.
+        assert!(!prefetch_gate(Traversal::Shuffled, 5 * MIB, None));
+        assert!(!prefetch_gate(Traversal::Shuffled, PREFETCH_MIN_BYTES_SHUFFLED, None));
+        assert!(prefetch_gate(Traversal::Shuffled, 8 * MIB, None));
+    }
+
+    #[test]
+    fn forced_prefetch_overrides_the_footprint() {
+        for t in [Traversal::InOrder, Traversal::Shuffled] {
+            assert!(prefetch_gate(t, 0, Some(true)));
+            assert!(!prefetch_gate(t, usize::MAX, Some(false)));
+        }
     }
 
     #[test]

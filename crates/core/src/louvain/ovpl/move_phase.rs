@@ -53,9 +53,12 @@ impl BlockBuf {
 
 /// Processes one block: vectorized affinity accumulation, then the paper's
 /// "natural" per-lane move selection and application. Only *active* lanes
-/// (per `fr`) select and apply moves — the affinity pass runs for every
-/// lane, so both sweep modes compute identical per-lane accumulators and
-/// the full/active outputs stay bit-identical. Returns moves applied.
+/// (per `fr`) take part: the affinity pass is masked to them and stops at
+/// the largest active lane's degree, and a block with no active lane
+/// returns at once. Lanes own disjoint accumulators, so an active lane's
+/// sums do not depend on which other lanes run, and both sweep modes hand
+/// every block the same active lanes: the full/active outputs stay
+/// bit-identical. Returns moves applied.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's data flow
 #[inline(always)]
 fn process_block<S: Simd>(
@@ -68,24 +71,31 @@ fn process_block<S: Simd>(
     inv_m: f32,
     inv_2m2: f32,
 ) -> u64 {
-    if block.is_empty() || block.max_deg == 0 {
+    let mut active = Mask16(0);
+    let mut slots = 0usize;
+    for (lane, u) in block.iter_real() {
+        if fr.is_active(u) {
+            active = active.or(Mask16::single(lane));
+            slots = slots.max(layout.degrees[u as usize] as usize);
+        }
+    }
+    if slots == 0 {
         return 0;
     }
     let zeta = atomic_as_i32(&state.zeta);
     let vids_v = s.from_array_i32(block.vertices);
-    let valid: Mask16 = s.cmpneq_i32(vids_v, s.splat_i32(SENTINEL));
     let sentinel_v = s.splat_i32(SENTINEL);
     let lane_iota = s.from_array_i32(std::array::from_fn(|i| i as i32));
 
-    for i in 0..block.max_deg as usize {
+    for i in 0..slots {
         let slot = block.offset + i * LANES;
         let nbrs = s.load_i32(&layout.nbrs[slot..]);
         // Existence checks only past min_deg (the paper's saving); self-loop
         // lanes are always excluded from affinity.
         let mut mask = if i < block.min_deg as usize {
-            valid
+            active
         } else {
-            valid.and(s.cmpneq_i32(nbrs, sentinel_v))
+            active.and(s.cmpneq_i32(nbrs, sentinel_v))
         };
         mask = mask.and(s.cmpneq_i32(nbrs, vids_v));
         if mask.is_empty() {
@@ -115,10 +125,8 @@ fn process_block<S: Simd>(
     // Per-lane selection and application ("done without particular
     // optimization using a natural way of performing this task").
     let mut moves = 0u64;
-    for (lane, u) in block.iter_real() {
-        if !fr.is_active(u) {
-            continue;
-        }
+    for lane in active.iter_set() {
+        let u = block.vertices[lane] as u32;
         let touched = &buf.touched[lane];
         if touched.is_empty() {
             continue;

@@ -84,7 +84,12 @@ pub fn move_phase_plm_recorded<R: Recorder>(
     let n = g.num_vertices();
     let inv_m = (1.0 / state.total_weight) as f32;
     let inv_2m2 = (1.0 / (2.0 * state.total_weight * state.total_weight)) as f32;
-    let plan = crate::locality::Plan::for_graph(g, config.block, config.bucket);
+    let plan = crate::locality::Plan::for_graph(
+        g,
+        config.block,
+        config.bucket,
+        crate::locality::Traversal::InOrder,
+    );
 
     super::run_sweeps(
         config,

@@ -6,7 +6,6 @@
 //! * [`Pool::new`] — a pool with an **exact** worker-thread count;
 //! * [`Pool::scope`] / [`Scope::spawn`] — structured fork/join with borrowed
 //!   data (all spawned jobs complete before `scope` returns);
-//! * [`Pool::join`] — binary fork/join;
 //! * [`Pool::for_each_range`] — run a closure on every chunk of `0..len`;
 //! * [`Pool::map`] — one job per item, results in item order: how the
 //!   substrate runs its pre-cut range lists and per-chunk passes;
@@ -21,10 +20,10 @@
 //!
 //! A sharded run queue: one injector deque shared by external submitters
 //! plus one deque per worker. Workers pop their own deque LIFO (depth-first
-//! on nested joins, keeps working sets hot), then take from the injector
+//! on nested scopes, keeps working sets hot), then take from the injector
 //! FIFO, then steal FIFO from siblings. Blocked scope owners that *are*
 //! workers of the same pool help drain jobs instead of parking, so nested
-//! `join`/`scope` on a worker can never deadlock.
+//! `scope` on a worker can never deadlock.
 //!
 //! # Determinism contract
 //!
@@ -93,7 +92,7 @@ struct Shared {
 impl Shared {
     fn push_job(&self, job: Job) {
         // Workers of this pool push to their own deque (depth-first nested
-        // joins); everyone else goes through the injector.
+        // scopes); everyone else goes through the injector.
         let mine = WORKER_CTX.with(|ctx| {
             ctx.borrow().as_ref().and_then(|(shared, idx)| {
                 if shared.id == self.id {
@@ -285,30 +284,6 @@ impl Pool {
         }
     }
 
-    /// Run `a` on the calling thread while `b` is eligible to run on any
-    /// worker; returns when both have completed. Inline pools run `a` then
-    /// `b` sequentially.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.is_inline() {
-            let ra = a();
-            let rb = b();
-            return (ra, rb);
-        }
-        let mut rb = None;
-        let rb_ref = &mut rb;
-        let ra = self.scope(move |s| {
-            s.spawn(move || *rb_ref = Some(b()));
-            a()
-        });
-        (ra, rb.expect("join: spawned half did not run"))
-    }
-
     /// Chunked pass: split `0..len` with [`split_ranges`]`(len, min_len)`
     /// and run `f` on every chunk, fanned out across the pool. The
     /// decomposition is independent of the pool size; only the assignment of
@@ -426,7 +401,7 @@ fn wait_for_latch(shared: &Shared, latch: &Latch) {
     });
     match me {
         // A worker waiting on its own pool helps drain jobs — this is what
-        // makes nested join/scope on workers deadlock-free.
+        // makes nested scopes on workers deadlock-free.
         Some(idx) => {
             while !latch.done() {
                 if let Some(job) = shared.find_job(Some(idx)) {
@@ -670,26 +645,21 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let pool = Pool::new(2);
-        let (a, b) = pool.join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
-
-    #[test]
-    fn nested_join_on_workers_makes_progress() {
-        // Recursive sum via join exercises worker-side helping: the worker
-        // that owns the outer join must drain its own deque while waiting.
+    fn nested_scope_on_workers_makes_progress() {
+        // Recursive sum via nested scopes exercises worker-side helping: a
+        // worker that owns an inner scope must drain its own deque while
+        // waiting on the half it spawned.
         fn sum(pool: &Pool, r: Range<u64>) -> u64 {
             let n = r.end - r.start;
             if n <= 64 {
                 return r.sum();
             }
             let mid = r.start + n / 2;
-            let (a, b) = pool.join(
-                || sum(pool, r.start..mid),
-                || sum(pool, mid..r.end),
-            );
+            let mut b = 0;
+            let a = pool.scope(|s| {
+                s.spawn(|| b = sum(pool, mid..r.end));
+                sum(pool, r.start..mid)
+            });
             a + b
         }
         for threads in [1, 2, 8] {
@@ -722,8 +692,7 @@ mod tests {
             assert_eq!(after.load(Ordering::SeqCst), 1);
         }
         // Pool remains usable after a panicked scope.
-        let (a, b) = pool.join(|| 1, || 2);
-        assert_eq!(a + b, 3);
+        assert_eq!(pool.map(vec![1, 2], |x| x * 10), [10, 20]);
     }
 
     #[test]
