@@ -6,7 +6,6 @@
 //!            [--scale s] [--deadline-every n] [--workers n] [--shards n]
 //!            [--queue-depth n] [--burst n]
 //!            [--open-loop rate|Nx] [--duration secs] [--churn frac]
-//!            [--block off|auto|<n>kb|<n>] [--bucket off|degree]
 //! ```
 //!
 //! **Closed loop** (the default): `--clients` clients each wait for a
@@ -81,10 +80,6 @@ USAGE:
   --churn frac       closed-loop only: this fraction of the mix are v2
                      update frames against a shared session graph, with
                      per-class latency and streaming-counter reconciliation
-  --block v          locality cache-blocking knob on every v2 request
-                     (off|auto|<n>kb|<n>; omitted when not given)
-  --bucket v         locality degree-bucketing knob on every v2 request
-                     (off|degree; omitted when not given)
 ";
 
 /// Client-side tallies, merged across all client threads.
@@ -140,10 +135,6 @@ struct Options {
     duration: f64,
     /// Fraction of the closed-loop mix sent as v2 `update` frames.
     churn: Option<f64>,
-    /// Pre-rendered `"block":"…","bucket":"…",` fragment for every v2
-    /// request line; empty when neither knob was given (the server then
-    /// applies the library defaults, which the v1 codec test pins).
-    locality: String,
 }
 
 fn parse_rate(v: &str) -> Result<Rate, String> {
@@ -166,7 +157,7 @@ fn parse_rate(v: &str) -> Result<Rate, String> {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         spawn: false,
         addr: None,
@@ -181,11 +172,7 @@ fn parse_args() -> Result<Options, String> {
         open_loop: None,
         duration: 5.0,
         churn: None,
-        locality: String::new(),
     };
-    let mut block: Option<String> = None;
-    let mut bucket: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         let mut num = |name: &str| -> Result<u64, String> {
@@ -224,18 +211,6 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("bad --duration value: {e}"))?
                     .max(0.1);
             }
-            "--block" => {
-                let v = it.next().ok_or("--block needs a value")?;
-                // Validate with the same parser the server uses so a typo
-                // fails here, not as a rejected request mid-run.
-                v.parse::<gp_core::api::Blocking>()?;
-                block = Some(v);
-            }
-            "--bucket" => {
-                let v = it.next().ok_or("--bucket needs a value")?;
-                v.parse::<gp_core::api::Bucketing>()?;
-                bucket = Some(v);
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -248,12 +223,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.churn.is_some() && opts.open_loop.is_some() {
         return Err("--churn is closed-loop only (drop --open-loop)".to_string());
-    }
-    if let Some(b) = block {
-        opts.locality.push_str(&format!("\"block\":\"{b}\","));
-    }
-    if let Some(b) = bucket {
-        opts.locality.push_str(&format!("\"bucket\":\"{b}\","));
     }
     Ok(opts)
 }
@@ -327,11 +296,11 @@ fn churn_line(i: u64, scale: u32, inv: u64, deadline_every: u64) -> (String, boo
 /// distinct specs so traffic spreads across shards, and the request seed is
 /// unique so every admitted request costs a real kernel execution (no
 /// result-cache hits, no coalescing — the measurement wants real work).
-fn open_line(i: u64, scale: u32, locality: &str) -> String {
+fn open_line(i: u64, scale: u32) -> String {
     format!(
         "{{\"v\":2,\"req\":{{\"kernel\":\"labelprop\",\
          \"graph\":\"rmat:scale={scale},ef=8,seed={}\",\
-         {locality}\"seed\":{},\"id\":\"o-{i}\"}}}}",
+         \"seed\":{},\"id\":\"o-{i}\"}}}}",
         i % 4,
         500_000 + i
     )
@@ -609,7 +578,7 @@ struct OpenConn {
 /// sending a few sequentially (the first warms the graph cache and is
 /// excluded). Calibration requests flow through the normal tally so the
 /// final reconciliation still balances.
-fn calibrate(addr: &str, scale: u32, locality: &str, tally: &Tally) -> Result<f64, String> {
+fn calibrate(addr: &str, scale: u32, tally: &Tally) -> Result<f64, String> {
     let (mut stream, mut reader) = connect(addr)?;
     let hist = Histogram::new();
     let mut total = Duration::ZERO;
@@ -618,7 +587,7 @@ fn calibrate(addr: &str, scale: u32, locality: &str, tally: &Tally) -> Result<f6
         let line = format!(
             "{{\"v\":2,\"req\":{{\"kernel\":\"labelprop\",\
              \"graph\":\"rmat:scale={scale},ef=8,seed={}\",\
-             {locality}\"seed\":{},\"id\":\"cal-{i}\"}}}}",
+             \"seed\":{},\"id\":\"cal-{i}\"}}}}",
             i % 4,
             900_000 + i
         );
@@ -716,7 +685,7 @@ fn run_open(
             std::thread::sleep(next - now);
         }
         let conn = &conns[(i % conns.len() as u64) as usize];
-        let line = open_line(i, opts.scale, &opts.locality);
+        let line = open_line(i, opts.scale);
         conn.pending
             .lock()
             .unwrap()
@@ -916,7 +885,7 @@ fn check_common(opts: &Options, stats: &Json, tally: &Tally, problems: &mut Vec<
 }
 
 fn run() -> Result<(), String> {
-    let opts = parse_args()?;
+    let opts = parse_args(std::env::args().skip(1))?;
     let server = if opts.spawn {
         Some(
             Server::start(ServeConfig {
@@ -956,7 +925,7 @@ fn run() -> Result<(), String> {
         let (rate, factor) = match rate_spec {
             Rate::PerSec(r) => (*r, None),
             Rate::Multiple(f) => {
-                let mean_secs = calibrate(&addr, opts.scale, &opts.locality, &tally)?;
+                let mean_secs = calibrate(&addr, opts.scale, &tally)?;
                 let sustainable = effective_workers as f64 / mean_secs.max(1e-9);
                 println!(
                     "calibrated: mean service {:.2} ms, sustainable ≈ {:.0} req/s, \
@@ -1061,5 +1030,29 @@ fn main() -> std::process::ExitCode {
             eprintln!("gp-loadgen: {e}");
             std::process::ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn removed_locality_flags_are_unknown_arguments() {
+        for flag in ["--block", "--bucket"] {
+            let err = parse(&[flag, "off"]).err().expect("flag must be refused");
+            assert!(err.contains(&format!("unknown argument `{flag}`")), "{err}");
+        }
+        assert!(parse(&["--clients", "2"]).is_ok());
+    }
+
+    #[test]
+    fn open_loop_lines_are_valid_v2_requests() {
+        let line = open_line(3, 10);
+        assert!(gp_serve::protocol::parse_line(&line).is_ok(), "{line}");
     }
 }

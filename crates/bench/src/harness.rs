@@ -8,7 +8,7 @@
 //!   SkylakeX/Cascade-Lake cost model, the substitution for the paper's
 //!   second machine (DESIGN.md §2).
 
-use gp_core::api::{run_kernel, Backend, Blocking, Bucketing, Kernel, KernelOutput, KernelSpec};
+use gp_core::api::{run_kernel, Backend, Kernel, KernelOutput, KernelSpec};
 use gp_core::coloring::{color_with, ColoringConfig, ColoringResult};
 use gp_core::louvain::ovpl::{move_phase_ovpl, prepare};
 use gp_core::louvain::{move_phase_with, LouvainConfig, MoveState, Variant};
@@ -253,17 +253,13 @@ pub fn time_coloring(g: &Csr, vectorized: bool, ctx: &BenchContext) -> Summary {
     }
 }
 
-/// Op counts of a sequential coloring run. Locality routing is pinned off:
-/// the figure compares the paper's scalar and vector *kernels*, and degree
-/// bucketing would swap low-degree vertices onto a different kernel shape
-/// (the op mix would then measure the router, not the kernel).
+/// Op counts of a sequential coloring run: the scalar kernel's or the ONPL
+/// kernel's, which every vertex of a vector run takes.
 pub fn counts_coloring(g: &Csr, vectorized: bool) -> (ColoringResult, OpCounts) {
     let backend = if vectorized { Backend::Emulated } else { Backend::Scalar };
     let spec = KernelSpec::new(Kernel::Coloring)
         .sequential()
         .counted()
-        .with_block(Blocking::Off)
-        .with_bucket(Bucketing::Off)
         .with_backend(backend);
     let (out, counts) = counters::counted_run(|| run_kernel(g, &spec, &mut NoopRecorder));
     match out {
@@ -291,8 +287,6 @@ pub fn counts_labelprop(g: &Csr, vectorized: bool) -> OpCounts {
     let spec = KernelSpec::new(Kernel::Labelprop)
         .sequential()
         .counted()
-        .with_block(Blocking::Off)
-        .with_bucket(Bucketing::Off)
         .with_backend(backend);
     counters::counted_run(|| run_kernel(g, &spec, &mut NoopRecorder)).1
 }

@@ -1,9 +1,7 @@
 //! Subcommand implementations.
 
 use crate::io::{load, save, save_assignment};
-use gp_core::api::{
-    run_kernel, Backend, Blocking, Bucketing, Kernel, KernelOutput, KernelSpec, SweepMode, Variant,
-};
+use gp_core::api::{run_kernel, Backend, Kernel, KernelOutput, KernelSpec, SweepMode, Variant};
 use gp_core::coloring::verify_coloring;
 use gp_core::incremental::{apply_update, run_kernel_incremental};
 use gp_graph::csr::Csr;
@@ -25,10 +23,8 @@ USAGE:
                           [--trace file]
   gpart labelprop <graph> [--out file] [--trace file]
           color/louvain/labelprop also take [--sweep active|full] (frontier
-          worklists vs. full scans; identical outputs),
-          [--backend auto|scalar], and the locality knobs
-          [--block off|auto|<n>kb|<n>] [--bucket off|degree]
-          (cache blocking / degree bucketing; identical outputs)
+          worklists vs. full scans; identical outputs) and
+          [--backend auto|scalar]
   gpart update    <graph> [--kernel color|louvain-<v>|labelprop]
                           [--edits file] [--steps n] [--churn frac] [--seed n]
                           [--out file] [--trace file] (+ kernel flags above)
@@ -92,8 +88,9 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     println!("degree cv     {:.3}", s.degree_cv);
     println!("self loops    {}", s.num_self_loops);
     println!("components    {}", s.num_components);
-    // The locality layer's inputs: exact low-degree counts (the ≤16-neighbor
-    // low bin), log2 buckets above, and the derived hub cut.
+    // Exact low-degree counts (≤16 neighbors: the vertices scalar coloring
+    // colors through its bitmask), log2 buckets above, and the locality
+    // layer's hub cut.
     let h = DegreeHistogram::build(&g);
     let low: Vec<String> = h.low.iter().map(|n| n.to_string()).collect();
     println!("deg 0..={}    {}", LOW_DEGREE_SLOTS, low.join(" "));
@@ -194,9 +191,15 @@ fn degree_summary(g: &Csr) -> DegreeSummary {
     }
 }
 
-/// Pulls the flags shared by every kernel command (`--sweep`, `--backend`,
-/// `--block`, `--bucket`) off the argument list and folds them into `spec`.
+/// Pulls the flags shared by every kernel command (`--sweep`, `--backend`)
+/// off the argument list and folds them into `spec`. The removed locality
+/// flags `--block` and `--bucket` are refused, not ignored.
 fn take_spec_flags(args: &[String], mut spec: KernelSpec) -> Result<(KernelSpec, Vec<String>), String> {
+    if let Some(flag) = args.iter().find(|a| *a == "--block" || *a == "--bucket") {
+        return Err(format!(
+            "{flag} was removed: the locality layer has no settings (docs/KERNELS.md §8)"
+        ));
+    }
     let (sweep, rest) = take_flag(args, "--sweep");
     if let Some(s) = sweep {
         spec.sweep = s.parse::<SweepMode>()?;
@@ -204,14 +207,6 @@ fn take_spec_flags(args: &[String], mut spec: KernelSpec) -> Result<(KernelSpec,
     let (backend, rest) = take_flag(&rest, "--backend");
     if let Some(b) = backend {
         spec.backend = b.parse::<Backend>()?;
-    }
-    let (block, rest) = take_flag(&rest, "--block");
-    if let Some(b) = block {
-        spec.block = b.parse::<Blocking>()?;
-    }
-    let (bucket, rest) = take_flag(&rest, "--bucket");
-    if let Some(b) = bucket {
-        spec.bucket = b.parse::<Bucketing>()?;
     }
     Ok((spec, rest))
 }
@@ -833,36 +828,39 @@ mod tests {
         generate(&args(&["mesh", &path_s, "400", "3"])).unwrap();
         stats(&args(&[&path_s])).unwrap();
         color(&args(&[&path_s])).unwrap();
-        color(&args(&[&path_s, "--block", "7", "--bucket", "degree"])).unwrap();
         louvain(&args(&[&path_s, "--variant", "onpl"])).unwrap();
-        louvain(&args(&[&path_s, "--block", "64kb", "--bucket", "off"])).unwrap();
-        labelprop(&args(&[&path_s, "--block", "off"])).unwrap();
+        louvain(&args(&[&path_s, "--sweep", "full"])).unwrap();
         labelprop(&args(&[&path_s])).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn locality_flags_reject_bad_values() {
-        let err = take_spec_flags(
-            &args(&["--block", "sideways"]),
-            KernelSpec::new(Kernel::Coloring),
-        )
-        .unwrap_err();
-        assert!(err.contains("sideways"), "{err}");
-        let err = take_spec_flags(
-            &args(&["--bucket", "42"]),
-            KernelSpec::new(Kernel::Coloring),
-        )
-        .unwrap_err();
-        assert!(err.contains("42"), "{err}");
-        let (spec, rest) = take_spec_flags(
-            &args(&["g.mtx", "--block", "256kb", "--bucket", "off"]),
-            KernelSpec::new(Kernel::Coloring),
+    fn removed_locality_flags_are_refused() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let graph = dir.join(format!("gpcli_locality_{pid}.mtx"));
+        let specs = dir.join(format!("gpcli_locality_{pid}.txt"));
+        let graph_s = graph.to_str().unwrap().to_string();
+        let specs_s = specs.to_str().unwrap().to_string();
+        generate(&args(&["mesh", &graph_s, "400", "3"])).unwrap();
+        for run in [color, louvain, labelprop] {
+            let err = run(&args(&[&graph_s, "--block", "auto"])).unwrap_err();
+            assert!(err.contains("--block was removed"), "{err}");
+            let err = run(&args(&[&graph_s, "--bucket", "off"])).unwrap_err();
+            assert!(err.contains("--bucket was removed"), "{err}");
+        }
+        std::fs::write(
+            &specs,
+            "color mesh:w=8,seed=1 --bucket degree --sequential\n",
         )
         .unwrap();
-        assert_eq!(spec.block, Blocking::Kb(256));
-        assert_eq!(spec.bucket, Bucketing::Off);
-        assert_eq!(rest, args(&["g.mtx"]));
+        let err = batch(&args(&[&specs_s, "--no-baseline"])).unwrap_err();
+        assert!(
+            err.contains(":1:") && err.contains("--bucket was removed"),
+            "{err}"
+        );
+        std::fs::remove_file(&graph).ok();
+        std::fs::remove_file(&specs).ok();
     }
 
     #[test]

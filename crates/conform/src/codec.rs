@@ -65,12 +65,11 @@ pub struct Frame {
 const KERNELS: [&str; 4] = ["color", "louvain", "labelprop", "louvain-onpl"];
 const SWEEPS: [&str; 2] = ["full", "active"];
 const BACKENDS: [&str; 4] = ["auto", "scalar", "emulated", "native"];
-const BLOCKS: [&str; 3] = ["off", "auto", "64kb"];
 
 /// A syntactically valid request line in the wire dialect `version`
 /// (1: flat lenient object; 2: strict `{"v":2,"req":{...}}` envelope).
 /// Field values are sampled, so the stream covers the spec surface
-/// (kernels, sweeps, backends, locality knobs, ids).
+/// (kernels, sweeps, backends, ids).
 pub fn well_formed(rng: &mut FuzzRng, version: u8) -> Vec<u8> {
     let kernel = KERNELS[rng.below(KERNELS.len())];
     let n = 2 + rng.below(40);
@@ -88,13 +87,8 @@ pub fn well_formed(rng: &mut FuzzRng, version: u8) -> Vec<u8> {
             BACKENDS[rng.below(BACKENDS.len())]
         ));
     }
-    if version >= 2 {
-        if rng.below(2) == 0 {
-            body.push_str(&format!(r#","block":"{}""#, BLOCKS[rng.below(BLOCKS.len())]));
-        }
-        if rng.below(2) == 0 {
-            body.push_str(&format!(r#","id":"fuzz-{}""#, rng.below(1 << 16)));
-        }
+    if version >= 2 && rng.below(2) == 0 {
+        body.push_str(&format!(r#","id":"fuzz-{}""#, rng.below(1 << 16)));
     }
     body.push('}');
     if version >= 2 {

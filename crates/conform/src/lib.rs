@@ -3,10 +3,10 @@
 //! This crate is the repo's answer to "do all the execution universes
 //! actually agree?". The kernels ship in several guises — scalar
 //! reference, emulated 512-bit vectors, native AVX-512, sequential and
-//! parallel schedules, cold and incremental runs, blocked and bucketed
-//! sweeps — and `docs/KERNELS.md` promises which of those are
-//! bit-identical and which are merely valid-and-comparable. gp-conform
-//! turns that prose into an executable contract:
+//! parallel schedules, cold and incremental runs — and `docs/KERNELS.md`
+//! promises which of those are bit-identical and which are merely
+//! valid-and-comparable. gp-conform turns that prose into an executable
+//! contract:
 //!
 //! * [`generators`] — adversarial graph families (pendant spam, star
 //!   forests, duplicate-heavy multigraphs, community-count stress,
@@ -16,7 +16,7 @@
 //!   push, and the `.edges` loader replaying minimized regression files
 //!   from the repository's `corpus/` directory.
 //! * [`runner`] — the differential runner: executes every promised
-//!   `(backend pair × sweep × threads × locality × cold/incremental)`
+//!   `(backend pair × sweep × threads × cold/incremental)`
 //!   combination through the public `run_kernel` API and diffs full
 //!   outputs with `KernelOutput::diff`, applying the right tier
 //!   (bit-identity vs validity-plus-quality) per combination.

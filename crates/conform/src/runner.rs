@@ -8,14 +8,13 @@
 //! (`docs/KERNELS.md`, `docs/PARALLELISM.md`) as two tiers:
 //!
 //! * **Bit tier** — outputs must be byte-identical. Holds for: `full` vs
-//!   `active` sweeps; blocked vs unblocked; bucketed vs unbucketed;
-//!   sequential specs across 1/2/8-thread pools; and backend pairs per
-//!   kernel family — coloring and Louvain agree across *all* backends
-//!   (the scalar reference and the 16-lane kernels are move-for-move
-//!   equivalent), label propagation only across the vector backends
-//!   (scalar MPLP tie-breaks differently by design, and `auto` resolves to
-//!   MPLP on non-AVX-512 hosts — the [`gp_core::backends`] registry
-//!   decides which pairs are comparable on this host).
+//!   `active` sweeps; sequential specs across 1/2/8-thread pools; and
+//!   backend pairs per kernel family — coloring and Louvain agree across
+//!   *all* backends (the scalar reference and the 16-lane kernels are
+//!   move-for-move equivalent), label propagation only across the vector
+//!   backends (scalar MPLP tie-breaks differently by design, and `auto`
+//!   resolves to MPLP on non-AVX-512 hosts — the [`gp_core::backends`]
+//!   registry decides which pairs are comparable on this host).
 //! * **Racy tier** — parallel execution on multi-thread pools may reorder
 //!   speculative moves, so outputs are checked for *validity* (proper
 //!   coloring within the greedy Δ+1 bound, assignments in range) and
@@ -28,7 +27,7 @@
 //! comparisons they made — the conformance tests assert the matrix did not
 //! silently collapse.
 
-use gp_core::api::{run_kernel, Backend, Blocking, Bucketing, Kernel, KernelSpec, SweepMode};
+use gp_core::api::{run_kernel, Backend, Kernel, KernelSpec, SweepMode};
 use gp_core::api::KernelOutput;
 use gp_core::coloring::verify_coloring;
 use gp_core::incremental::run_kernel_incremental;
@@ -98,8 +97,8 @@ fn assert_identical(case: &str, what: &str, a: &KernelOutput, b: &KernelOutput) 
 }
 
 /// **Bit tier.** Runs `kernels` on `g` and asserts every bit-identity the
-/// contract promises: backend pairs, full ≡ active, blocked ≡ unblocked,
-/// bucketed ≡ unbucketed, and 1/2/8-thread invariance of sequential specs.
+/// contract promises: backend pairs, full ≡ active, and 1/2/8-thread
+/// invariance of sequential specs.
 /// Returns the number of output comparisons performed.
 pub fn bit_tier(case: &str, g: &Csr, kernels: &[&str]) -> usize {
     let mut comparisons = 0;
@@ -134,30 +133,6 @@ pub fn bit_tier(case: &str, g: &Csr, kernels: &[&str]) -> usize {
         let full = run_kernel(g, &base.with_sweep(SweepMode::Full), &mut NoopRecorder);
         let active = run_kernel(g, &base.with_sweep(SweepMode::Active), &mut NoopRecorder);
         assert_identical(case, &format!("{kernel} full vs active"), &full, &active);
-        comparisons += 1;
-
-        // Locality knobs: blocked ≡ unblocked (one-vertex block included),
-        // bucketed ≡ unbucketed.
-        let unblocked = run_kernel(
-            g,
-            &base.with_block(Blocking::Off).with_bucket(Bucketing::Off),
-            &mut NoopRecorder,
-        );
-        for block in [Blocking::Auto, Blocking::Kb(1), Blocking::Vertices(1)] {
-            let blocked = run_kernel(
-                g,
-                &base.with_block(block).with_bucket(Bucketing::Off),
-                &mut NoopRecorder,
-            );
-            assert_identical(case, &format!("{kernel} block={block} vs off"), &unblocked, &blocked);
-            comparisons += 1;
-        }
-        let bucketed = run_kernel(
-            g,
-            &base.with_block(Blocking::Off).with_bucket(Bucketing::Degree),
-            &mut NoopRecorder,
-        );
-        assert_identical(case, &format!("{kernel} bucket=degree vs off"), &unblocked, &bucketed);
         comparisons += 1;
 
         // Pool-size invariance of the sequential spec.

@@ -20,9 +20,9 @@ fn short_corpus_bit_tier() {
         comparisons += bit_tier(&case.name, &case.graph, &ALL_KERNELS);
     }
     // The matrix must not silently collapse: 13 light cases × 8 kernels ×
-    // (pairs + sweeps + locality + threads) comparisons each.
+    // (pairs + sweeps + threads) comparisons each.
     assert!(
-        comparisons >= 13 * 8 * 10,
+        comparisons >= 13 * 8 * 6,
         "matrix collapsed to {comparisons} comparisons"
     );
 }

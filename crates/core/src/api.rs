@@ -30,7 +30,6 @@ pub use crate::error::{RunError, SpecError};
 use crate::labelprop::{LabelPropConfig, LabelPropResult};
 use crate::louvain::{LouvainConfig, LouvainResult};
 pub use crate::frontier::SweepMode;
-pub use crate::locality::{Blocking, Bucketing};
 pub use crate::louvain::Variant;
 pub use crate::reduce_scatter::Strategy;
 use gp_graph::csr::Csr;
@@ -211,12 +210,6 @@ pub struct KernelSpec {
     /// Record scalar/vector op counts into `gp_simd::counters` for modeled
     /// architecture comparisons.
     pub count_ops: bool,
-    /// Cache-blocking policy for the locality layer (`off`, `auto`,
-    /// `<n>kb`, or an explicit vertex count). Bit-identity with the
-    /// unblocked sweep is guaranteed for every setting.
-    pub block: Blocking,
-    /// Degree-bucketing policy (`off` or `degree`).
-    pub bucket: Bucketing,
 }
 
 impl Default for KernelSpec {
@@ -228,8 +221,6 @@ impl Default for KernelSpec {
             parallel: true,
             seed: 0x1abe1,
             count_ops: false,
-            block: Blocking::default(),
-            bucket: Bucketing::default(),
         }
     }
 }
@@ -273,34 +264,17 @@ impl KernelSpec {
         self
     }
 
-    /// Selects the cache-blocking policy.
-    pub fn with_block(mut self, block: Blocking) -> Self {
-        self.block = block;
-        self
-    }
-
-    /// Selects the degree-bucketing policy.
-    pub fn with_bucket(mut self, bucket: Bucketing) -> Self {
-        self.bucket = bucket;
-        self
-    }
-
     /// The spec's contribution to a result-cache key:
-    /// `kernel|backend|sweep|seed=N|block=B|bucket=M`. Every field that can
-    /// change the output (or the telemetry shape) is present; two requests
-    /// with equal tokens (on the same graph) produce byte-identical
-    /// results. Blocking/bucketing never change kernel *outputs*, but they
-    /// do change the telemetry shape (bin tallies, block counts), so they
-    /// are part of the key.
+    /// `kernel|backend|sweep|seed=N`. Every field that can change the
+    /// output is present; two requests with equal tokens (on the same
+    /// graph) produce byte-identical results.
     pub fn cache_token(&self) -> String {
         format!(
-            "{}|{}|{}|seed={}|block={}|bucket={}",
+            "{}|{}|{}|seed={}",
             self.kernel.cache_label(),
             self.backend.name(),
             self.sweep.name(),
-            self.seed,
-            self.block,
-            self.bucket
+            self.seed
         )
     }
 }
@@ -459,8 +433,6 @@ pub(crate) fn run_kernel_inner<R: Recorder>(
                 parallel: spec.parallel,
                 count_ops: spec.count_ops,
                 sweep: spec.sweep,
-                block: spec.block,
-                bucket: spec.bucket,
                 warm: match warm {
                     Some(WarmStart::Color(w)) => Some(w),
                     _ => None,
@@ -489,8 +461,6 @@ pub(crate) fn run_kernel_inner<R: Recorder>(
                 parallel: spec.parallel,
                 count_ops: spec.count_ops,
                 sweep: spec.sweep,
-                block: spec.block,
-                bucket: spec.bucket,
                 warm: match warm {
                     Some(WarmStart::Louvain(w)) => Some(w),
                     _ => None,
@@ -515,8 +485,6 @@ pub(crate) fn run_kernel_inner<R: Recorder>(
                 count_ops: spec.count_ops,
                 seed: spec.seed,
                 sweep: spec.sweep,
-                block: spec.block,
-                bucket: spec.bucket,
                 warm: match warm {
                     Some(WarmStart::Lp(w)) => Some(w),
                     _ => None,
@@ -608,10 +576,6 @@ mod tests {
         tokens.push(base.with_backend(Backend::Native).cache_token());
         tokens.push(base.with_sweep(SweepMode::Full).cache_token());
         tokens.push(base.with_seed(7).cache_token());
-        tokens.push(base.with_block(Blocking::Off).cache_token());
-        tokens.push(base.with_block(Blocking::Kb(256)).cache_token());
-        tokens.push(base.with_block(Blocking::Vertices(4096)).cache_token());
-        tokens.push(base.with_bucket(Bucketing::Off).cache_token());
         tokens.push(KernelSpec::new(Kernel::Louvain(Variant::Ovpl)).cache_token());
         let unique: std::collections::HashSet<_> = tokens.iter().collect();
         assert_eq!(unique.len(), tokens.len(), "{tokens:?}");
@@ -710,15 +674,13 @@ mod tests {
 
     #[test]
     fn counted_emulated_pin_records_vector_ops() {
+        // Every mesh vertex has degree ≤ 16, which the scalar kernel colors
+        // through its bitmask; a vector run still takes the ONPL kernel on
+        // each of them, so the counted run records vector ops.
         let g = triangular_mesh(8, 8, 2);
-        // Bucketing off: the mesh is all low-degree, and the degree router
-        // would send every vertex to the scalar bitmask kernel — this test
-        // pins the *vector* kernel's op stream.
         let spec = KernelSpec::new(Kernel::Coloring)
             .sequential()
             .with_backend(Backend::Emulated)
-            .with_block(Blocking::Off)
-            .with_bucket(Bucketing::Off)
             .counted();
         let (out, counts) = counters::counted_run(|| run_kernel(&g, &spec, &mut NoopRecorder));
         assert!(out.converged());

@@ -4,16 +4,24 @@
 //! speculative rounds (Algorithm 1), `AssignColors` marking forbidden colors
 //! in a per-thread array (Algorithm 2), and `DetectConflicts` collecting
 //! same-colored edges (Algorithm 3). Forbidden-color tracking uses the
-//! standard stamp trick so the array is never cleared between vertices.
+//! standard stamp trick so the array is never cleared between vertices;
+//! vertices of degree ≤ 16 skip the array for a single `u32` bitmask
+//! (`assign_one_low`).
 
 use super::{ColoringConfig, ColoringResult};
 use crate::frontier::SweepMode;
-use crate::locality::{self, Plan, Traversal, LOW_MAX_DEGREE};
+use crate::locality::{self, Plan, Traversal};
 use gp_graph::csr::Csr;
 use gp_graph::par::concat_chunks;
 use gp_metrics::telemetry::{NoopRecorder, Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
 use gp_simd::counters;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Highest degree the scalar kernel colors through [`assign_one_low`]: at
+/// most 16 forbidden colors leave an answer ≤ 17, inside one `u32` mask.
+/// On the sparse benchmark graphs the bitmask beats the stamped array
+/// (docs/PERFORMANCE.md, "The locality layer keeps only what measures").
+const LOW_MAX_DEGREE: usize = 16;
 
 /// Per-thread workspace for `AssignColors`: the FORBIDDEN array of
 /// Algorithm 2, stamped instead of cleared.
@@ -78,14 +86,13 @@ pub(crate) fn assign_one_low(g: &Csr, colors: &[AtomicU32], v: u32) -> u32 {
     (!(forb | 1)).trailing_zeros()
 }
 
-/// Sweeps one cache block of the conflict set through the locality layer
-/// and stores each vertex's new color. With bucketing on, ≤16-degree
-/// vertices take the branch-free bitmask kernel ([`assign_one_low`]), the
-/// rest take `assign`, the variant's per-vertex kernel over its workspace.
-/// Both compute the exact smallest free color reading live state in order,
-/// so the result is bit-identical to the plain per-vertex loop. The driver
-/// cuts the blocks and polls the deadline between them
-/// ([`locality::slice_blocked`]), so the sweep itself runs unrecorded.
+/// Sweeps a piece of the conflict set through the locality layer and
+/// stores each vertex's new color, computed by `assign`, the variant's
+/// per-vertex kernel over its workspace. Every kernel computes the exact
+/// smallest free color reading live state in order, so the result is
+/// bit-identical to the plain per-vertex loop. The driver cuts the pieces
+/// and polls the deadline between them ([`locality::slice_chunked`]), so
+/// the sweep itself runs unrecorded.
 pub(crate) fn sweep_assign<W: Send>(
     g: &Csr,
     colors: &[AtomicU32],
@@ -103,24 +110,14 @@ pub(crate) fn sweep_assign<W: Send>(
         &NoopRecorder,
         |i| Some(conf[i]),
         make_ws,
-        |ws, v| {
-            let c = if plan.bucket && g.degree(v) <= LOW_MAX_DEGREE as usize {
-                assign_one_low(g, colors, v)
-            } else {
-                assign(ws, v)
-            };
-            colors[v as usize].store(c, Ordering::Relaxed);
-        },
-        Some(|v: u32| {
-            for &nv in g.neighbors(v).iter().take(locality::WARM_NEIGHBOR_CAP) {
-                locality::prefetch(&colors[nv as usize] as *const _);
-            }
-        }),
+        |ws, v| colors[v as usize].store(assign(ws, v), Ordering::Relaxed),
+        None::<fn(u32)>,
     );
 }
 
-/// Scalar `AssignColors` over a conflict set (Algorithm 2): the stamped
-/// FORBIDDEN array per vertex, swept by [`sweep_assign`].
+/// Scalar `AssignColors` over a conflict set (Algorithm 2), swept by
+/// `sweep_assign`: the `u32` bitmask for vertices of degree ≤ 16, the
+/// stamped FORBIDDEN array above it.
 pub fn assign_colors_scalar(
     g: &Csr,
     colors: &[AtomicU32],
@@ -136,7 +133,13 @@ pub fn assign_colors_scalar(
         config.parallel,
         plan,
         || Workspace::new(max_degree),
-        |ws, v| assign_one_scalar(g, colors, v, ws),
+        |ws, v| {
+            if g.degree(v) <= LOW_MAX_DEGREE {
+                assign_one_low(g, colors, v)
+            } else {
+                assign_one_scalar(g, colors, v, ws)
+            }
+        },
     );
     if config.count_ops {
         // Per neighbor: load id, load color, store forbidden, loop branch;
@@ -227,13 +230,11 @@ pub(crate) fn run_iterative<R: Recorder>(
 /// exact), `full` re-scans every vertex as the paper-shaped baseline. Both
 /// produce the same conflict set, hence bit-identical colorings.
 ///
-/// `AssignColors` runs through [`locality::slice_blocked`] — the conflict
-/// set is cut at cache-block boundaries from the run's locality [`Plan`],
-/// which each `assign` kernel also receives to route vertices by degree
-/// bucket. `DetectConflicts` runs through the same function unblocked
-/// (it streams adjacency once; blocking buys nothing there). Either way a
-/// [`Recorder`] that can fire deadlines is polled every few thousand
-/// vertices *within* a round rather than only at round boundaries.
+/// `AssignColors` and `DetectConflicts` both run through
+/// [`locality::slice_chunked`], so a [`Recorder`] that can fire deadlines
+/// is polled every few thousand vertices *within* a round rather than only
+/// at round boundaries. Each `assign` kernel receives the run's locality
+/// [`Plan`] (its hub units).
 pub(crate) fn run_iterative_with_detect<R: Recorder>(
     g: &Csr,
     config: &ColoringConfig,
@@ -243,7 +244,7 @@ pub(crate) fn run_iterative_with_detect<R: Recorder>(
     backend: &'static str,
 ) -> ColoringResult {
     let timer = RunTimer::start();
-    let plan = Plan::for_graph(g, config.block, config.bucket, Traversal::InOrder);
+    let plan = Plan::for_graph(g, Traversal::InOrder);
     let n = g.num_vertices();
     let (colors, mut conf): (Vec<AtomicU32>, Vec<u32>) = match &config.warm {
         Some(w) if w.colors.len() == n => {
@@ -296,21 +297,14 @@ pub(crate) fn run_iterative_with_detect<R: Recorder>(
         } else {
             0
         };
-        let bins = if R::ENABLED {
-            locality::tally(&plan, conf.len(), |i| Some(conf[i]), |v| g.degree(v) as u64)
-        } else {
-            Default::default()
-        };
-        bailed = locality::slice_blocked(&conf, plan.block_vertices, rec, |sub| {
-            assign(g, &colors, sub, config, &plan)
-        });
+        bailed = locality::slice_chunked(&conf, rec, |sub| assign(g, &colors, sub, config, &plan));
         if !bailed {
             let scan: &[u32] = match config.sweep {
                 SweepMode::Active => &conf,
                 SweepMode::Full => &all,
             };
             let mut newconf: Vec<u32> = Vec::new();
-            bailed = locality::slice_blocked(scan, usize::MAX, rec, |sub| {
+            bailed = locality::slice_chunked(scan, rec, |sub| {
                 newconf.extend(detect(g, &colors, sub, config));
             });
             if R::CHECKS_DEADLINE {
@@ -327,8 +321,7 @@ pub(crate) fn run_iterative_with_detect<R: Recorder>(
                 .active(active)
                 .active_edges(active_edges)
                 .moves(active)
-                .conflicts(conf.len() as u64)
-                .bins(bins.blocks, bins.low, bins.mid, bins.hub),
+                .conflicts(conf.len() as u64),
         );
         if bailed {
             break;

@@ -6,6 +6,14 @@
 //! Only the color *assignment* is vectorized (the paper: "We only apply
 //! vectorization on the color assignment portion"); conflict detection is
 //! shared scalar code.
+//!
+//! Each assignment kernel picks its per-vertex shape from the vertex's
+//! degree, not from a setting: the scalar kernel colors vertices of degree
+//! ≤ 16 with a `u32`-bitmask first-fit (the bitset first-fit Chen et al.
+//! use for sparse coloring) and the rest with the stamped FORBIDDEN array;
+//! the ONPL kernel runs its vector path on every vertex. Every shape
+//! computes the exact smallest free color, so the backends stay
+//! color-for-color identical (`crates/core/tests/color_pins.rs`).
 
 pub mod greedy;
 pub mod onpl;
@@ -18,7 +26,6 @@ pub use onpl::color_with;
 pub use verify::{count_colors, verify_coloring};
 
 use crate::frontier::SweepMode;
-use crate::locality::{Blocking, Bucketing};
 use gp_metrics::telemetry::RunInfo;
 use std::sync::Arc;
 
@@ -60,13 +67,6 @@ pub struct ColoringConfig {
     /// re-scans every vertex every round as the A/B baseline. Outputs are
     /// bit-identical.
     pub sweep: SweepMode,
-    /// Cache-blocking policy for the assign phase (locality layer).
-    /// Bit-identical outputs for every setting.
-    pub block: Blocking,
-    /// Degree-bucketing policy: ≤16-degree vertices of the conflict set take
-    /// the branch-free `u32`-bitmask kernel, hubs their own parallel
-    /// scheduling units.
-    pub bucket: Bucketing,
     /// Warm start: adopt a previous coloring and repair only from a seed
     /// conflict set instead of coloring from scratch. `None` (the default)
     /// is the ordinary full run.
@@ -81,8 +81,6 @@ impl Default for ColoringConfig {
             count_ops: false,
             vectorized_conflicts: false,
             sweep: SweepMode::Active,
-            block: Blocking::default(),
-            bucket: Bucketing::default(),
             warm: None,
         }
     }

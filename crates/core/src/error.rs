@@ -34,12 +34,6 @@ pub enum SpecError {
     UnknownBackend(String),
     /// Not a sweep mode (`full|active`).
     UnknownSweep(String),
-    /// A `<n>kb` cache-budget blocking value that is not a positive integer.
-    InvalidBlockBudget(String),
-    /// A vertex-count blocking value that is not a positive integer.
-    InvalidBlockSize(String),
-    /// Not a degree-bucketing mode (`off|degree`).
-    UnknownBucket(String),
 }
 
 impl std::fmt::Display for SpecError {
@@ -56,15 +50,6 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::UnknownSweep(s) => {
                 write!(f, "unknown sweep mode '{s}' (full|active)")
-            }
-            SpecError::InvalidBlockBudget(s) => {
-                write!(f, "invalid block budget '{s}' (off|auto|<n>kb|<n>)")
-            }
-            SpecError::InvalidBlockSize(s) => {
-                write!(f, "invalid block size '{s}' (off|auto|<n>kb|<n>)")
-            }
-            SpecError::UnknownBucket(s) => {
-                write!(f, "unknown bucket mode '{s}' (off|degree)")
             }
         }
     }
@@ -126,7 +111,7 @@ mod tests {
     /// JSON bodies) by the serve golden tests.
     #[test]
     fn display_matches_legacy_messages() {
-        let cases: [(SpecError, &str); 7] = [
+        let cases: [(SpecError, &str); 4] = [
             (
                 SpecError::UnknownKernel("zap".into()),
                 "unknown kernel 'zap' (color|louvain[-<variant>]|labelprop)",
@@ -142,18 +127,6 @@ mod tests {
             (
                 SpecError::UnknownSweep("zap".into()),
                 "unknown sweep mode 'zap' (full|active)",
-            ),
-            (
-                SpecError::InvalidBlockBudget("0kb".into()),
-                "invalid block budget '0kb' (off|auto|<n>kb|<n>)",
-            ),
-            (
-                SpecError::InvalidBlockSize("-3".into()),
-                "invalid block size '-3' (off|auto|<n>kb|<n>)",
-            ),
-            (
-                SpecError::UnknownBucket("zap".into()),
-                "unknown bucket mode 'zap' (off|degree)",
             ),
         ];
         for (err, want) in cases {

@@ -202,8 +202,10 @@ impl Frontier {
 /// the poll itself (an `Instant::now` comparison) is noise.
 pub const DEADLINE_CHUNK: usize = 4096;
 
+/// Chunk length of a sweep over `len` positions: [`DEADLINE_CHUNK`] when
+/// the recorder can fire deadlines, else the whole sweep in one chunk.
 #[inline]
-fn chunk_len<R: Recorder>(len: usize) -> usize {
+pub(crate) fn chunk_len<R: Recorder>(len: usize) -> usize {
     if R::CHECKS_DEADLINE {
         DEADLINE_CHUNK
     } else {

@@ -13,7 +13,7 @@ pub mod mplp;
 pub mod onlp;
 
 use crate::frontier::{Frontier, SweepMode};
-use crate::locality::{self, Blocking, Bucketing, Plan, Traversal};
+use crate::locality::{self, Plan, Traversal};
 use crate::reduce_scatter::AffinityBuf;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{Recorder, RoundProbe, RoundStats, RunInfo, RunTimer};
@@ -56,14 +56,6 @@ pub struct LabelPropConfig {
     /// sweep) through a packed worklist, [`SweepMode::Full`] scans all
     /// vertices and skips inactive ones in place. Bit-identical outputs.
     pub sweep: SweepMode,
-    /// Cache-blocking policy for the sweeps (locality layer).
-    /// Bit-identical outputs for every setting.
-    pub block: Blocking,
-    /// Degree-bucketing policy: hub vertices become their own parallel
-    /// scheduling units. Every vertex, low-degree ones included, takes the
-    /// variant's per-vertex kernel, so bucketing affects only hub
-    /// scheduling and telemetry.
-    pub bucket: Bucketing,
     /// Warm start: adopt previous labels and re-converge from a seeded
     /// frontier. `None` (the default) is the ordinary full run.
     pub warm: Option<LpWarm>,
@@ -78,8 +70,6 @@ impl Default for LabelPropConfig {
             count_ops: false,
             seed: 0x1abe1,
             sweep: SweepMode::Active,
-            block: Blocking::default(),
-            bucket: Bucketing::default(),
             warm: None,
         }
     }
@@ -145,13 +135,12 @@ pub(crate) fn order_vertices(
 /// ([`order_key`] is per-vertex, so sorting the worklist reproduces the
 /// subsequence of the full shuffled order), hence bit-identical labels.
 ///
-/// Sweeps execute through the locality layer ([`crate::locality`]): the
-/// ordered traversal is cut into cache blocks and every eligible vertex
-/// runs `best` against live state in order, so sequential labels are
-/// bit-identical to the unblocked sweep. The plan is resolved for a
-/// [`Traversal::Shuffled`] sweep, whose rows and label reads are random
-/// accesses, so its prefetch pipeline starts at a smaller footprint than
-/// the in-order kernels'.
+/// Sweeps execute through the locality layer ([`crate::locality`]):
+/// every eligible vertex runs `best` against live state in sweep order, so
+/// sequential labels are those of the plain loop. The plan is resolved for
+/// a [`Traversal::Shuffled`] sweep, whose rows and label reads are random
+/// accesses, so past its footprint gate a prefetch pipeline runs ahead of
+/// the visit point, warming each upcoming vertex's neighbor labels.
 pub(crate) fn run_lp_sweeps<R: Recorder>(
     g: &Csr,
     config: &LabelPropConfig,
@@ -161,7 +150,7 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
 ) -> LabelPropResult {
     let timer = RunTimer::start();
     let n = g.num_vertices();
-    let plan = Plan::for_graph(g, config.block, config.bucket, Traversal::Shuffled);
+    let plan = Plan::for_graph(g, Traversal::Shuffled);
     let (labels, mut frontier): (Vec<AtomicU32>, Frontier) = match &config.warm {
         Some(w) if w.labels.len() == n => (
             w.labels.iter().map(|&l| AtomicU32::new(l)).collect(),
@@ -199,16 +188,6 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
         order_vertices(&mut order, config.seed, iteration, &mut keyed);
         let probe = RoundProbe::begin::<R>();
         let updated = AtomicU64::new(0);
-        let bins = if R::ENABLED {
-            locality::tally(
-                &plan,
-                order.len(),
-                |i| frontier.is_active(order[i]).then_some(order[i]),
-                |v| g.degree(v) as u64,
-            )
-        } else {
-            Default::default()
-        };
         bailed = locality::run_sweep(
             g,
             &plan,
@@ -258,8 +237,7 @@ pub(crate) fn run_lp_sweeps<R: Recorder>(
             RoundStats::new(iteration)
                 .active(active_now)
                 .active_edges(active_edges)
-                .moves(ups)
-                .bins(bins.blocks, bins.low, bins.mid, bins.hub),
+                .moves(ups),
         );
         if bailed {
             break;

@@ -23,7 +23,7 @@ pub use driver::{move_phase_with, LouvainResult};
 pub use modularity::modularity;
 
 use crate::frontier::{Frontier, SweepMode};
-use crate::locality::{self, BinTally, Blocking, Bucketing, Plan};
+use crate::locality::{self, Plan};
 use crate::reduce_scatter::Strategy;
 use gp_graph::csr::Csr;
 use gp_metrics::telemetry::{Recorder, RoundProbe, RoundStats};
@@ -97,15 +97,6 @@ pub struct LouvainConfig {
     /// packed worklist, [`SweepMode::Full`] scans all vertices and skips
     /// inactive ones in place. Bit-identical outputs.
     pub sweep: SweepMode,
-    /// Cache-blocking policy for the move-phase sweeps (locality layer;
-    /// distinct from [`LouvainConfig::block_size`], which is OVPL's ELLPACK
-    /// tile width). OVPL ignores this — its blocked layout already fixes
-    /// the traversal granularity. Bit-identical outputs for every setting.
-    pub block: Blocking,
-    /// Degree-bucketing policy: hub vertices become their own parallel
-    /// scheduling units. Every vertex takes the variant's per-vertex move
-    /// kernel, so bucketing here affects only hub scheduling and telemetry.
-    pub bucket: Bucketing,
     /// Warm start: adopt a previous assignment and re-converge from a
     /// seeded frontier at the finest level. `None` (the default) is the
     /// ordinary full run.
@@ -123,8 +114,6 @@ impl Default for LouvainConfig {
             block_size: 16,
             sort_by_degree: true,
             sweep: SweepMode::Active,
-            block: Blocking::default(),
-            bucket: Bucketing::default(),
             warm: None,
         }
     }
@@ -177,16 +166,14 @@ pub struct MovePhaseStats {
 /// deadline polling) and returns `(moves, bailed)`; movers must
 /// [`Frontier::activate`] their neighbors. `degree_of` prices the frontier
 /// for telemetry and op counting; `quality` is evaluated around each sweep
-/// to fill `quality_delta`, and `bins` takes the locality-bin census
-/// ([`tally_sweep`]; OVPL passes zeros) — both only when `R::ENABLED`, so
-/// uninstrumented runs execute the plain loop.
+/// to fill `quality_delta` only when `R::ENABLED`, so uninstrumented runs
+/// execute the plain loop.
 pub(crate) fn run_sweeps<R: Recorder>(
     config: &LouvainConfig,
     n: usize,
     degree_of: impl Fn(u32) -> u64,
     rec: &mut R,
     quality: impl Fn() -> f64,
-    bins: impl Fn(&Frontier) -> BinTally,
     mut sweep: impl FnMut(&Frontier, u64, &R) -> (u64, bool),
 ) -> MovePhaseStats {
     let mut stats = MovePhaseStats::default();
@@ -202,11 +189,6 @@ pub(crate) fn run_sweeps<R: Recorder>(
         } else {
             0
         };
-        let b = if R::ENABLED {
-            bins(&frontier)
-        } else {
-            BinTally::default()
-        };
         let probe = RoundProbe::begin::<R>();
         let (m, bailed) = sweep(&frontier, active_edges, rec);
         stats.iterations += 1;
@@ -214,8 +196,7 @@ pub(crate) fn run_sweeps<R: Recorder>(
         let mut rs = RoundStats::new(round)
             .active(active_now)
             .active_edges(active_edges)
-            .moves(m)
-            .bins(b.blocks, b.low, b.mid, b.hub);
+            .moves(m);
         if R::ENABLED {
             let q = quality();
             rs = rs.quality_delta(q - q_prev);
@@ -240,13 +221,12 @@ pub(crate) fn run_sweeps<R: Recorder>(
 }
 
 /// Enumerates one sweep's vertices per `config.sweep` and feeds them to
-/// `process` through [`locality::run_sweep`] (cache blocking, hub singleton
-/// units, parallelism, deadline polling): [`SweepMode::Full`] scans `0..n`
-/// and skips inactive vertices in place; [`SweepMode::Active`] walks the
+/// `process` through [`locality::run_sweep`] (hub singleton units,
+/// parallelism, deadline polling): [`SweepMode::Full`] scans `0..n` and
+/// skips inactive vertices in place; [`SweepMode::Active`] walks the
 /// packed ascending worklist — the same vertices in the same relative
-/// order, hence bit-identical moves. Every vertex takes `process`, so
-/// bucketing affects only hub scheduling. Returns `true` when a deadline
-/// bailed the sweep early.
+/// order, hence bit-identical moves. Returns `true` when a deadline bailed
+/// the sweep early.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
     g: &Csr,
@@ -257,7 +237,6 @@ pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
     rec: &R,
     make_buf: impl Fn() -> B + Send + Sync,
     process: impl Fn(&mut B, u32) + Send + Sync,
-    warm: Option<impl Fn(u32) + Send + Sync>,
 ) -> bool {
     match config.sweep {
         SweepMode::Full => locality::run_sweep(
@@ -272,7 +251,7 @@ pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
             },
             make_buf,
             process,
-            warm,
+            None::<fn(u32)>,
         ),
         SweepMode::Active => {
             let wl = fr.worklist();
@@ -285,29 +264,8 @@ pub(crate) fn sweep_vertices<R: Recorder, B: Send>(
                 |i| Some(wl[i]),
                 make_buf,
                 process,
-                warm,
+                None::<fn(u32)>,
             )
-        }
-    }
-}
-
-/// The per-sweep locality-bin census for [`run_sweeps`] telemetry: prices
-/// the frontier exactly as [`sweep_vertices`] will enumerate it.
-pub(crate) fn tally_sweep(g: &Csr, plan: &Plan, config: &LouvainConfig, fr: &Frontier) -> BinTally {
-    let degree_of = |v: u32| g.degree(v) as u64;
-    match config.sweep {
-        SweepMode::Full => locality::tally(
-            plan,
-            g.num_vertices(),
-            |i| {
-                let u = i as u32;
-                fr.is_active(u).then_some(u)
-            },
-            degree_of,
-        ),
-        SweepMode::Active => {
-            let wl = fr.worklist();
-            locality::tally(plan, wl.len(), |i| Some(wl[i]), degree_of)
         }
     }
 }

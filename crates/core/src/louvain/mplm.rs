@@ -90,12 +90,7 @@ pub fn move_phase_mplm_recorded<R: Recorder>(
     let n = g.num_vertices();
     let inv_m = (1.0 / state.total_weight) as f32;
     let inv_2m2 = (1.0 / (2.0 * state.total_weight * state.total_weight)) as f32;
-    let plan = crate::locality::Plan::for_graph(
-        g,
-        config.block,
-        config.bucket,
-        crate::locality::Traversal::InOrder,
-    );
+    let plan = crate::locality::Plan::for_graph(g, crate::locality::Traversal::InOrder);
 
     super::run_sweeps(
         config,
@@ -103,7 +98,6 @@ pub fn move_phase_mplm_recorded<R: Recorder>(
         |v| g.degree(v) as u64,
         rec,
         || modularity(g, &state.communities()),
-        |fr| super::tally_sweep(g, &plan, config, fr),
         |fr, active_edges, rec| {
             let moved = AtomicU64::new(0);
             let bailed = super::sweep_vertices(
@@ -125,11 +119,6 @@ pub fn move_phase_mplm_recorded<R: Recorder>(
                         }
                     }
                 },
-                Some(|v: u32| {
-                    for &nv in g.neighbors(v).iter().take(crate::locality::WARM_NEIGHBOR_CAP) {
-                        crate::locality::prefetch(&state.zeta[nv as usize] as *const _);
-                    }
-                }),
             );
             if config.count_ops {
                 // Affinity pass per visited arc: adj + weight stream loads,

@@ -168,12 +168,7 @@ pub fn move_phase_onpl_recorded<S: Simd + Sync, R: Recorder>(
     let n = g.num_vertices();
     let inv_m = (1.0 / state.total_weight) as f32;
     let inv_2m2 = (1.0 / (2.0 * state.total_weight * state.total_weight)) as f32;
-    let plan = crate::locality::Plan::for_graph(
-        g,
-        config.block,
-        config.bucket,
-        crate::locality::Traversal::InOrder,
-    );
+    let plan = crate::locality::Plan::for_graph(g, crate::locality::Traversal::InOrder);
 
     super::run_sweeps(
         config,
@@ -181,7 +176,6 @@ pub fn move_phase_onpl_recorded<S: Simd + Sync, R: Recorder>(
         |v| g.degree(v) as u64,
         rec,
         || modularity(g, &state.communities()),
-        |fr| super::tally_sweep(g, &plan, config, fr),
         |fr, _active_edges, rec| {
             let moved = AtomicU64::new(0);
             let bailed = super::sweep_vertices(
@@ -203,11 +197,6 @@ pub fn move_phase_onpl_recorded<S: Simd + Sync, R: Recorder>(
                         }
                     }
                 },
-                Some(|v: u32| {
-                    for &nv in g.neighbors(v).iter().take(crate::locality::WARM_NEIGHBOR_CAP) {
-                        crate::locality::prefetch(&state.zeta[nv as usize] as *const _);
-                    }
-                }),
             );
             (moved.into_inner(), bailed)
         },

@@ -212,9 +212,6 @@ pub fn move_phase_ovpl_recorded<S: Simd + Sync, R: Recorder>(
         |v| layout.degrees[v as usize] as u64,
         rec,
         || 0.0,
-        // OVPL's blocked ELLPACK layout fixes the traversal granularity
-        // itself; the locality plan does not apply, so the census is zeros.
-        |_| crate::locality::BinTally::default(),
         |fr, _active_edges, rec| {
             let moved = AtomicU64::new(0);
             // Block-granularity frontier: a block is live when any of its

@@ -6,9 +6,8 @@
 //! sweep's update count, so it moves when the traversal order, the
 //! heaviest-label selection or the convergence test changes a single bit.
 //! The R-MAT's footprint (8.3 MiB) lies above the shuffled-sweep prefetch
-//! gate and the mesh's below it, so the default run pins both arms of the
-//! gate; CI runs this file again under `GP_PREFETCH=1`, which forces the
-//! pipeline on for both graphs.
+//! gate and the mesh's below it, so the two graphs pin both arms of the
+//! gate: label propagation with and without its prefetch pipeline.
 
 use gp_core::api::{run_kernel, Backend, Kernel, KernelSpec};
 use gp_core::labelprop::LabelPropResult;

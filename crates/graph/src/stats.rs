@@ -66,12 +66,13 @@ pub fn degree_histogram(g: &Csr) -> Vec<usize> {
     hist
 }
 
-/// Highest degree with an exact slot in [`DegreeHistogram::low`]: the
-/// locality layer's low bin (≤16 neighbors, one 16-lane register's worth).
+/// Highest degree with an exact slot in [`DegreeHistogram::low`]: ≤16
+/// neighbors, one 16-lane register's worth, and the degrees scalar
+/// coloring colors through its bitmask.
 pub const LOW_DEGREE_SLOTS: usize = 16;
 
-/// Compact degree histogram: exact counts for the ≤16-degree low bin, log2
-/// buckets above. Cheap to build
+/// Compact degree histogram: exact counts for degrees ≤ 16, log2 buckets
+/// above. Cheap to build
 /// (one pass over the row index, no per-degree allocation even for
 /// billion-degree hubs) and the sole input to the locality layer's
 /// hub-threshold rule, so thresholds are a pure function of the graph.

@@ -197,8 +197,7 @@ pub fn trace_json(trace: &Trace) -> String {
             out,
             "    {{\"round\": {}, \"level\": {}, \"secs\": {}, \"moves\": {}, \
              \"conflicts\": {}, \"active\": {}, \"active_edges\": {}, \
-             \"quality_delta\": {}, \"blocks\": {}, \"bin_low\": {}, \
-             \"bin_mid\": {}, \"bin_hub\": {}, \"ops\": {{{}}}}}",
+             \"quality_delta\": {}, \"ops\": {{{}}}}}",
             r.round,
             r.level,
             json_f64(r.secs),
@@ -207,10 +206,6 @@ pub fn trace_json(trace: &Trace) -> String {
             r.active,
             r.active_edges,
             json_f64(r.quality_delta),
-            r.blocks,
-            r.bin_low,
-            r.bin_mid,
-            r.bin_hub,
             ops.join(", ")
         );
         let _ = writeln!(out, "{}", if i + 1 < trace.rounds.len() { "," } else { "" });
@@ -247,10 +242,6 @@ pub fn trace_csv(trace: &Trace) -> String {
         "active",
         "active_edges",
         "quality_delta",
-        "blocks",
-        "bin_low",
-        "bin_mid",
-        "bin_hub",
     ];
     header.extend(ALL_OP_CLASSES.iter().map(|c| c.label()));
     let _ = writeln!(out, "{}", header.join(","));
@@ -264,10 +255,6 @@ pub fn trace_csv(trace: &Trace) -> String {
             r.active.to_string(),
             r.active_edges.to_string(),
             format!("{:e}", r.quality_delta),
-            r.blocks.to_string(),
-            r.bin_low.to_string(),
-            r.bin_mid.to_string(),
-            r.bin_hub.to_string(),
         ];
         cells.extend(ALL_OP_CLASSES.iter().map(|&c| r.ops.get(c).to_string()));
         let _ = writeln!(out, "{}", cells.join(","));
@@ -392,10 +379,6 @@ mod tests {
                     ops: OpCounts::default()
                         .with(OpClass::Gather, 64)
                         .with(OpClass::Conflict, 4),
-                    blocks: 4,
-                    bin_low: 80,
-                    bin_mid: 19,
-                    bin_hub: 1,
                 },
                 RoundStats {
                     round: 1,
@@ -407,10 +390,6 @@ mod tests {
                     active_edges: 52,
                     quality_delta: f64::NAN,
                     ops: OpCounts::default(),
-                    blocks: 0,
-                    bin_low: 0,
-                    bin_mid: 0,
-                    bin_hub: 0,
                 },
             ],
         }
@@ -425,9 +404,6 @@ mod tests {
         assert!(json.contains("\"conflict\": 4"));
         assert!(json.contains("\"moves\": 100"));
         assert!(json.contains("\"active_edges\": 840"));
-        assert!(json.contains("\"blocks\": 4"));
-        assert!(json.contains("\"bin_low\": 80"));
-        assert!(json.contains("\"bin_hub\": 1"));
         assert!(json.contains("\"total_secs\": 0.75"));
         assert!(
             json.contains("\"degree_hist\": {\"low\": [1, 80, 19], \"log2\": [80, 19, 0, 0, 0, 0, 1], \"max_degree\": 99, \"hub_threshold\": 64}"),

@@ -77,16 +77,6 @@ pub struct RoundStats {
     /// [`gp_simd::counters`]. All zero unless the kernel ran on a
     /// [`gp_simd::counted::Counted`] backend.
     pub ops: OpCounts,
-    /// Cache blocks the round's sweep was partitioned into (locality
-    /// layer); zero when blocking is off or the kernel bypasses it.
-    pub blocks: u64,
-    /// Eligible vertices in the ≤16-degree low bin.
-    pub bin_low: u64,
-    /// Eligible vertices routed to the mid-degree per-vertex bin.
-    pub bin_mid: u64,
-    /// Eligible vertices at or above the hub threshold (scheduled as
-    /// singleton parallel units).
-    pub bin_hub: u64,
 }
 
 impl RoundStats {
@@ -125,16 +115,6 @@ impl RoundStats {
     /// Sets the per-round quality delta.
     pub fn quality_delta(mut self, d: f64) -> Self {
         self.quality_delta = d;
-        self
-    }
-
-    /// Sets the locality-layer census: block count and per-bin vertex
-    /// counts (low / mid / hub).
-    pub fn bins(mut self, blocks: u64, low: u64, mid: u64, hub: u64) -> Self {
-        self.blocks = blocks;
-        self.bin_low = low;
-        self.bin_mid = mid;
-        self.bin_hub = hub;
         self
     }
 }

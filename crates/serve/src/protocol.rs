@@ -31,7 +31,7 @@
 use crate::json::{self, Json, ObjBuilder};
 use crate::spec::GraphSpec;
 pub use gp_core::api::{Backend, SweepMode};
-use gp_core::api::{Blocking, Bucketing, Kernel as RunKernel, KernelSpec};
+use gp_core::api::{Kernel as RunKernel, KernelSpec};
 use gp_core::louvain::Variant;
 use gp_core::reduce_scatter::Strategy;
 use gp_graph::Edge;
@@ -301,8 +301,6 @@ struct Common {
     seed: u64,
     backend: Backend,
     sweep: SweepMode,
-    block: Blocking,
-    bucket: Bucketing,
 }
 
 fn parse_common(v: &Json, version: u8) -> Result<Common, ParseError> {
@@ -327,35 +325,12 @@ fn parse_common(v: &Json, version: u8) -> Result<Common, ParseError> {
         None => SweepMode::Active,
         Some(s) => s.parse().map_err(|e| ParseError::v(version, String::from(e)))?,
     };
-    // Locality knobs (v2; v1 requests never carry them and get the library
-    // defaults). Values are validated strictly in both versions — a `block`
-    // or `bucket` field with a bad value is an error, not a silent default.
-    let block: Blocking = match v.get("block") {
-        None | Some(Json::Null) => Blocking::default(),
-        Some(s) => s
-            .as_str()
-            .ok_or_else(|| {
-                ParseError::v(version, "`block` must be a string (off|auto|<n>kb|<n>)")
-            })?
-            .parse()
-            .map_err(|e| ParseError::v(version, String::from(e)))?,
-    };
-    let bucket: Bucketing = match v.get("bucket") {
-        None | Some(Json::Null) => Bucketing::default(),
-        Some(s) => s
-            .as_str()
-            .ok_or_else(|| ParseError::v(version, "`bucket` must be a string (off|degree)"))?
-            .parse()
-            .map_err(|e| ParseError::v(version, String::from(e)))?,
-    };
     Ok(Common {
         id,
         deadline_ms,
         seed,
         backend,
         sweep,
-        block,
-        bucket,
     })
 }
 
@@ -369,8 +344,6 @@ fn spec_of(run: RunKernel, c: &Common) -> KernelSpec {
         parallel: true,
         seed: c.seed,
         count_ops: false,
-        block: c.block,
-        bucket: c.bucket,
     }
 }
 
@@ -459,16 +432,15 @@ fn parse_v2(v: &Json) -> Result<Incoming, ParseError> {
         &["kernel", "ms", "deadline_ms", "id"]
     } else {
         &[
-            "kernel", "graph", "backend", "sweep", "block", "bucket", "seed", "deadline_ms",
-            "update", "id",
+            "kernel", "graph", "backend", "sweep", "seed", "deadline_ms", "update", "id",
         ]
     };
     for (k, _) in fields {
         if !allowed.contains(&k.as_str()) {
-            let hint = if k == "variant" {
-                " (v2 folds the variant into the kernel string, e.g. `louvain-mplm`)"
-            } else {
-                ""
+            let hint = match k.as_str() {
+                "variant" => " (v2 folds the variant into the kernel string, e.g. `louvain-mplm`)",
+                "block" | "bucket" => " (the locality layer has no settings; drop the field)",
+                _ => "",
             };
             return Err(err(format!("unknown field `{k}`{hint}")));
         }
@@ -535,8 +507,6 @@ pub fn to_v2_line(request: &Request) -> String {
             req = req
                 .str("backend", ks.backend.name())
                 .str("sweep", ks.sweep.name())
-                .str("block", &ks.block.name())
-                .str("bucket", ks.bucket.name())
                 .num("seed", ks.seed as f64);
         }
     }
@@ -646,7 +616,7 @@ mod tests {
         assert_eq!(req.version, 1);
         assert_eq!(
             req.cache_key().unwrap(),
-            "rmat:scale=12,ef=8,seed=3|louvain-ovpl|scalar|full|seed=9|block=auto|bucket=degree"
+            "rmat:scale=12,ef=8,seed=3|louvain-ovpl|scalar|full|seed=9"
         );
         let spec = req.kernel_spec().unwrap();
         assert_eq!(spec.kernel.cache_label(), "louvain-ovpl");
@@ -668,7 +638,7 @@ mod tests {
         assert_eq!(req.id.as_deref(), Some("b2"));
         assert_eq!(
             req.cache_key().unwrap(),
-            "rmat:scale=12,ef=8,seed=3|louvain-mplm|emulated|active|seed=4|block=auto|bucket=degree"
+            "rmat:scale=12,ef=8,seed=3|louvain-mplm|emulated|active|seed=4"
         );
     }
 
@@ -738,11 +708,11 @@ mod tests {
         let cases = [
             (
                 r#"{"kernel":"louvain","graph":{"rmat":{"scale":12,"seed":3}},"variant":"ovpl","backend":"scalar","sweep":"full","seed":9,"deadline_ms":100,"id":"a1"}"#,
-                r#"{"v":2,"req":{"kernel":"louvain-ovpl","graph":"rmat:scale=12,ef=8,seed=3","backend":"scalar","sweep":"full","block":"auto","bucket":"degree","seed":9,"deadline_ms":100,"id":"a1"}}"#,
+                r#"{"v":2,"req":{"kernel":"louvain-ovpl","graph":"rmat:scale=12,ef=8,seed=3","backend":"scalar","sweep":"full","seed":9,"deadline_ms":100,"id":"a1"}}"#,
             ),
             (
                 r#"{"kernel":"color","graph":"mesh:w=10,seed=2"}"#,
-                r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=10,h=10,seed=2","backend":"auto","sweep":"active","block":"auto","bucket":"degree","seed":0}}"#,
+                r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=10,h=10,seed=2","backend":"auto","sweep":"active","seed":0}}"#,
             ),
             (
                 r#"{"kernel":"sleep","ms":25,"id":"s1"}"#,
@@ -780,60 +750,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_requests_default_the_locality_knobs() {
-        // v1 predates the locality layer: every v1 request executes (and is
-        // cached) with the library defaults.
-        let req = run_of(r#"{"kernel":"color","graph":"mesh:w=10,seed=2"}"#);
-        let Kernel::Run(ks) = req.kernel else { panic!() };
-        assert_eq!(ks.block, Blocking::Auto);
-        assert_eq!(ks.bucket, Bucketing::Degree);
-        assert!(req
-            .cache_key()
-            .unwrap()
-            .ends_with("|block=auto|bucket=degree"));
+    fn v1_ignores_the_removed_locality_fields() {
+        // v1 is lenient: `block`/`bucket`, like any unknown v1 field, are
+        // dropped, and the request shares the plain request's cache entry.
+        let plain = run_of(r#"{"kernel":"color","graph":"mesh:w=10,seed=2"}"#);
+        let knobbed =
+            run_of(r#"{"kernel":"color","graph":"mesh:w=10,seed=2","block":"4096","bucket":"off"}"#);
+        assert_eq!(knobbed, plain);
+        assert_eq!(knobbed.cache_key(), plain.cache_key());
+        assert!(!plain.cache_key().unwrap().contains("block="));
     }
 
     #[test]
-    fn v2_locality_knobs_round_trip_and_key_the_cache() {
-        let line = r#"{"v":2,"req":{"kernel":"labelprop","graph":"mesh:w=8,seed=1","block":"256kb","bucket":"off"}}"#;
-        let req = run_of(line);
-        let Kernel::Run(ks) = req.kernel else { panic!() };
-        assert_eq!(ks.block, Blocking::Kb(256));
-        assert_eq!(ks.bucket, Bucketing::Off);
-        assert!(req
-            .cache_key()
-            .unwrap()
-            .ends_with("|block=256kb|bucket=off"));
-        // Distinct knob values are distinct cache entries.
-        let base = run_of(r#"{"v":2,"req":{"kernel":"labelprop","graph":"mesh:w=8,seed=1"}}"#);
-        assert_ne!(req.cache_key(), base.cache_key());
-        // The canonical serialization carries them and re-parses equal.
-        let v2 = to_v2_line(&req);
-        assert!(v2.contains(r#""block":"256kb""#), "{v2}");
-        assert!(v2.contains(r#""bucket":"off""#), "{v2}");
-        assert_eq!(run_of(&v2), req);
-        // Explicit defaults share the cache entry with omitted knobs.
-        let explicit = run_of(
-            r#"{"v":2,"req":{"kernel":"labelprop","graph":"mesh:w=8,seed=1","block":"auto","bucket":"degree"}}"#,
-        );
-        assert_eq!(explicit.cache_key(), base.cache_key());
-        // A vertex-count block parses too.
-        let vtx = run_of(r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=8,seed=1","block":"4096"}}"#);
-        let Kernel::Run(ks) = vtx.kernel else { panic!() };
-        assert_eq!(ks.block, Blocking::Vertices(4096));
-    }
-
-    #[test]
-    fn bad_locality_values_are_rejected_in_both_versions() {
-        for line in [
-            r#"{"kernel":"color","graph":"mesh:w=4,seed=1","block":"cache"}"#,
-            r#"{"kernel":"color","graph":"mesh:w=4,seed=1","block":"0"}"#,
-            r#"{"kernel":"color","graph":"mesh:w=4,seed=1","bucket":"size"}"#,
-            r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=4,seed=1","block":"huge"}}"#,
-            r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=4,seed=1","block":4096}}"#,
-            r#"{"v":2,"req":{"kernel":"color","graph":"mesh:w=4,seed=1","bucket":"on"}}"#,
-        ] {
-            assert!(parse_line(line).is_err(), "accepted: {line}");
+    fn v2_refuses_the_removed_locality_fields() {
+        for field in ["block", "bucket"] {
+            for value in ["\"auto\"", "\"off\"", "4096"] {
+                let line = format!(
+                    r#"{{"v":2,"req":{{"kernel":"labelprop","graph":"mesh:w=8,seed=1","{field}":{value}}}}}"#
+                );
+                let e = parse_line(&line).expect_err(&line);
+                assert_eq!(e.version, 2);
+                assert!(e.detail.contains(&format!("unknown field `{field}`")), "{e}");
+                assert!(e.detail.contains("the locality layer has no settings"), "{e}");
+            }
         }
     }
 

@@ -49,31 +49,21 @@ fn unknown_sweep_body_is_pinned() {
     );
 }
 
+/// `block` and `bucket` were removed from v2; a request naming either is
+/// refused with a hint, as `variant` is.
 #[test]
-fn invalid_block_bodies_are_pinned() {
-    // A `<n>kb` budget that fails to parse as a positive integer.
+fn removed_locality_field_bodies_are_pinned() {
     assert_eq!(
         refusal_for(
-            r#"{"v":2,"req":{"kernel":"color","block":"0kb","graph":"rmat:scale=4,ef=8,seed=1"}}"#
+            r#"{"v":2,"req":{"kernel":"color","block":"auto","graph":"rmat:scale=4,ef=8,seed=1"}}"#
         ),
-        r#"{"v":2,"ok":false,"error":"bad_request","code":400,"detail":"invalid block budget '0kb' (off|auto|<n>kb|<n>)"}"#
+        r#"{"v":2,"ok":false,"error":"bad_request","code":400,"detail":"unknown field `block` (the locality layer has no settings; drop the field)"}"#
     );
-    // A bare vertex count that fails to parse.
     assert_eq!(
         refusal_for(
-            r#"{"v":2,"req":{"kernel":"color","block":"tiny","graph":"rmat:scale=4,ef=8,seed=1"}}"#
+            r#"{"v":2,"req":{"kernel":"color","bucket":"degree","graph":"rmat:scale=4,ef=8,seed=1"}}"#
         ),
-        r#"{"v":2,"ok":false,"error":"bad_request","code":400,"detail":"invalid block size 'tiny' (off|auto|<n>kb|<n>)"}"#
-    );
-}
-
-#[test]
-fn unknown_bucket_body_is_pinned() {
-    assert_eq!(
-        refusal_for(
-            r#"{"v":2,"req":{"kernel":"color","bucket":"size","graph":"rmat:scale=4,ef=8,seed=1"}}"#
-        ),
-        r#"{"v":2,"ok":false,"error":"bad_request","code":400,"detail":"unknown bucket mode 'size' (off|degree)"}"#
+        r#"{"v":2,"ok":false,"error":"bad_request","code":400,"detail":"unknown field `bucket` (the locality layer has no settings; drop the field)"}"#
     );
 }
 
